@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
-from .cover2d import WeightedRectCover
 from .coverkd import WeightedBoxCover
 
 VarId = tuple[str, int]
@@ -94,22 +93,8 @@ class CircuitSize:
     graph_model_count: int
 
 
-def from_cover2d(cover: WeightedRectCover) -> SigmaPiSigmaCircuit:
-    """One bilinear gate (w * sum x_i)(sum y_j) per cover item."""
-    if cover.mod is None:
-        raise ValueError("cover has no modulus")
-    space = VariableSpace(group_names(2), cover.n)
-    gx, gy = space.groups
-    gates = []
-    for rect, w in cover.items:
-        fx = LinearForm({(gx, i): w % cover.mod.m for i in sorted(rect.rows)})
-        fy = LinearForm({(gy, j): 1 for j in sorted(rect.cols)})
-        gates.append(Gate([fx, fy], repetition=w))
-    return SigmaPiSigmaCircuit(cover.mod, space, gates)
-
-
-def from_coverkd(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
-    """One k-linear gate per box, weight folded into the first form."""
+def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
+    """One k-linear gate per item, weight folded into the first form."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
     space = VariableSpace(group_names(cover.k), cover.n)
@@ -121,6 +106,16 @@ def from_coverkd(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
             forms.append(LinearForm({(space.groups[l], j): c for j in sorted(part)}))
         gates.append(Gate(forms, repetition=w))
     return SigmaPiSigmaCircuit(cover.mod, space, gates)
+
+
+def from_cover2d(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
+    """One bilinear gate (w * sum x_i)(sum y_j) per rectangle."""
+    return _from_cover(cover)
+
+
+def from_coverkd(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
+    """One k-linear gate per box, weight folded into the first form."""
+    return _from_cover(cover)
 
 
 def evaluate(c: SigmaPiSigmaCircuit, assignment: dict[VarId, int]) -> int:

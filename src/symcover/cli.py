@@ -10,17 +10,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .zmod import UnsupportedModulusError, factorize, mod_inverse
-from .cover2d import WeightedRectCover, build_s2_cover, verify_s2_properties
-from .coverkd import (
-    ConstructionError,
-    WeightedBoxCover,
-    build_sk_cover,
-    verify_sk_properties,
-)
+from .cover2d import build_s2_cover, verify_s2_properties
+from .coverkd import ConstructionError, build_sk_cover, verify_sk_properties
 from .circuit import (
     BudgetExceededError,
     expand_coefficients,
@@ -39,28 +33,17 @@ EXIT_CONSTRUCTION = 3
 EXIT_UNSUPPORTED_MODULUS = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    poly: str | None = None
-    n: int | None = None
-    n_list: list[int] | None = None
-    k: int = 2
-    m: int | None = None
-    b: int | None = None
-    strategy: str = "greedy"
-    seed: int = 0
-    expansion_budget: int = 10_000_000
-    verify_cap: int = 10_000_000
-    input: str | None = None
-    output: str | None = None
-    circuit_output: str | None = None
-    csv: str | None = None
-    out_dir: str | None = None
-    fmt: str = "dot"
+def _int_list(text: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers: {exc}")
+    if not values:
+        raise argparse.ArgumentTypeError("expects at least one value")
+    return values
 
 
-def _parse_args(argv: list[str]) -> RunConfig:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="symcover",
         description="build and verify weighted covers and depth-3 circuits "
@@ -79,16 +62,13 @@ def _parse_args(argv: list[str]) -> RunConfig:
     build.add_argument("--out", required=True, help="cover JSON path")
     build.add_argument("--circuit-out", default=None, help="circuit JSON path")
 
-    verify = sub.add_parser("verify", help="verify a cover artifact")
+    verify = sub.add_parser("verify", help="verify a cover artifact exhaustively")
     verify.add_argument("--in", dest="input", required=True)
     verify.add_argument("--expansion-budget", type=int, default=10_000_000)
-    verify.add_argument("--cap", type=int, default=10_000_000,
-                        help="exhaustive tuple-check cap for box covers")
-    verify.add_argument("--seed", type=int, default=0)
 
     report = sub.add_parser("report", help="size table over a range of n")
     report.add_argument("--poly", choices=["s2"], required=True)
-    report.add_argument("--n", required=True, help="comma-separated list")
+    report.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
     report.add_argument("--m", type=int, required=True)
     report.add_argument("--csv", required=True)
 
@@ -97,50 +77,37 @@ def _parse_args(argv: list[str]) -> RunConfig:
     export.add_argument("--out-dir", required=True)
     export.add_argument("--format", dest="fmt", choices=["dot", "csv"], default="dot")
 
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    if ns.command == "build":
-        cfg.poly, cfg.n, cfg.m, cfg.k = ns.poly, ns.n, ns.m, ns.k
-        cfg.b, cfg.strategy, cfg.seed = ns.b, ns.strategy, ns.seed
-        cfg.output, cfg.circuit_output = ns.out, ns.circuit_out
-    elif ns.command == "verify":
-        cfg.input = ns.input
-        cfg.expansion_budget = ns.expansion_budget
-        cfg.verify_cap, cfg.seed = ns.cap, ns.seed
-    elif ns.command == "report":
-        cfg.poly, cfg.m, cfg.csv = ns.poly, ns.m, ns.csv
-        try:
-            cfg.n_list = [int(part) for part in ns.n.split(",") if part]
-        except ValueError as exc:
-            parser.error(f"--n expects comma-separated integers: {exc}")
-        if not cfg.n_list:
-            parser.error("--n expects at least one value")
-    else:
-        cfg.input, cfg.out_dir, cfg.fmt = ns.input, ns.out_dir, ns.fmt
-    return cfg
+    return parser.parse_args(argv)
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    if cfg.n is None or cfg.n < 2:
-        raise ValueError(f"need n >= 2, got {cfg.n}")
-    mod = factorize(cfg.m)
-    if cfg.poly == "s2":
-        cover = build_s2_cover(cfg.n, mod)
-        circuit = from_cover2d(cover)
+def _checks(k: int):
+    """Property check and circuit converter: the s2 ones for k = 2."""
+    if k == 2:
+        return verify_s2_properties, from_cover2d
+    return verify_sk_properties, from_coverkd
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        raise ValueError(f"need n >= 2, got {args.n}")
+    mod = factorize(args.m)
+    if args.poly == "s2":
+        cover = build_s2_cover(args.n, mod)
     else:
-        if not 2 <= cfg.k <= cfg.n:
-            raise ValueError(f"need 2 <= k <= n, got k={cfg.k}, n={cfg.n}")
+        if not 2 <= args.k <= args.n:
+            raise ValueError(f"need 2 <= k <= n, got k={args.k}, n={args.n}")
         cover = build_sk_cover(
-            cfg.n, cfg.k, mod, b=cfg.b, strategy=cfg.strategy, seed=cfg.seed
+            args.n, args.k, mod, b=args.b, strategy=args.strategy, seed=args.seed
         )
-        circuit = from_coverkd(cover)
-    cover.meta.setdefault("seed", cfg.seed)
+    _, to_circuit = _checks(cover.k)
+    circuit = to_circuit(cover)
+    cover.meta.setdefault("seed", args.seed)
 
-    serialize.dump(serialize.cover_to_dict(cover), cfg.output)
-    written = [cfg.output]
-    if cfg.circuit_output:
-        serialize.dump(serialize.circuit_to_dict(circuit), cfg.circuit_output)
-        written.append(cfg.circuit_output)
+    serialize.dump(serialize.cover_to_dict(cover), args.out)
+    written = [args.out]
+    if args.circuit_out:
+        serialize.dump(serialize.circuit_to_dict(circuit), args.circuit_out)
+        written.append(args.circuit_out)
 
     s = size(circuit)
     print(f"wrote {', '.join(written)}")
@@ -152,18 +119,11 @@ def cmd_build(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    cover = serialize.cover_from_dict(serialize.load(cfg.input))
-    if isinstance(cover, WeightedRectCover):
-        report = verify_s2_properties(cover)
-        circuit = from_cover2d(cover)
-        k = 2
-    else:
-        report = verify_sk_properties(
-            cover, exhaustive_cap=cfg.verify_cap, seed=cfg.seed
-        )
-        circuit = from_coverkd(cover)
-        k = cover.k
+def cmd_verify(args: argparse.Namespace) -> int:
+    cover = serialize.cover_from_dict(serialize.load(args.input))
+    verify, to_circuit = _checks(cover.k)
+    report = verify(cover)
+    circuit = to_circuit(cover)
     print(f"properties: {report.summary()}")
     for v in report.violations[:20]:
         print(f"  cell {v.cell}: {v.reason}")
@@ -172,8 +132,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     astrong_ok = True
     try:
-        expansion = expand_coefficients(circuit, budget=cfg.expansion_budget)
-        target = target_coefficients(cover.n, k, ordered=True)
+        expansion = expand_coefficients(circuit, budget=args.expansion_budget)
+        target = target_coefficients(cover.n, cover.k, ordered=True)
         a_report = check_astrong(expansion, target, cover.mod)
         astrong_ok = a_report.ok
         print(f"a-strong: {'pass' if a_report.ok else 'fail'} "
@@ -186,12 +146,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.ok and astrong_ok else EXIT_VERIFY_FAIL
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     import csv as csv_mod
 
-    mod = factorize(cfg.m)
+    mod = factorize(args.m)
     rows = []
-    for n in cfg.n_list:
+    for n in args.n:
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         cover = build_s2_cover(n, mod)
@@ -200,7 +160,7 @@ def cmd_report(cfg: RunConfig) -> int:
         rows.append(
             {
                 "n": n,
-                "m": cfg.m,
+                "m": args.m,
                 "h": cover.meta["h"],
                 "bbr_degree": cover.meta["bbr_degree"],
                 "distinct_rectangles": len(cover.items),
@@ -210,11 +170,11 @@ def cmd_report(cfg: RunConfig) -> int:
             }
         )
     fields = list(rows[0].keys())
-    with open(cfg.csv, "w", newline="") as fh:
+    with open(args.csv, "w", newline="") as fh:
         writer = csv_mod.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-    print(f"wrote {cfg.csv} ({len(rows)} rows)")
+    print(f"wrote {args.csv} ({len(rows)} rows)")
     print(
         "note: the size advantage over the n-1 and C(n,2) baselines is "
         "asymptotic; no inequality is claimed at these small n"
@@ -235,10 +195,10 @@ def _dot_graph(name: str, rows: list[int], cols: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_export_dot(cfg: RunConfig) -> int:
-    cover = serialize.cover_from_dict(serialize.load(cfg.input))
-    if not isinstance(cover, WeightedRectCover):
-        raise ValueError("export expects a rectangle cover artifact")
+def cmd_export_dot(args: argparse.Namespace) -> int:
+    cover = serialize.cover_from_dict(serialize.load(args.input))
+    if cover.k != 2:
+        raise ValueError(f"export expects a k = 2 cover artifact, got k = {cover.k}")
     m = cover.mod.m
     if m % 2 == 0:
         print(
@@ -248,35 +208,29 @@ def cmd_export_dot(cfg: RunConfig) -> int:
         )
         return EXIT_UNSUPPORTED_MODULUS
     inv2 = mod_inverse(2, m)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     edge_counts: dict[tuple[int, int], int] = {}
+    csv_lines = ["graph_id,i,j"]
     graphs = 0
     for idx, (rect, w) in enumerate(cover.items):
         rep = (w * inv2) % m
         rows, cols = sorted(rect.rows), sorted(rect.cols)
         for copy in range(1, rep + 1):
             name = f"cover_{idx:04d}_{copy:02d}"
-            if cfg.fmt == "dot":
+            if args.fmt == "dot":
                 (out_dir / f"{name}.dot").write_text(_dot_graph(name, rows, cols))
+            else:
+                csv_lines += [f"{graphs},{i},{j}" for i in rows for j in cols]
             graphs += 1
         for i in rows:
             for j in cols:
                 edge = (min(i, j), max(i, j))
                 edge_counts[edge] = edge_counts.get(edge, 0) + rep
 
-    if cfg.fmt == "csv":
-        lines = ["graph_id,i,j"]
-        gid = 0
-        for idx, (rect, w) in enumerate(cover.items):
-            rep = (w * inv2) % m
-            for _ in range(rep):
-                for i in sorted(rect.rows):
-                    for j in sorted(rect.cols):
-                        lines.append(f"{gid},{i},{j}")
-                gid += 1
-        (out_dir / "edges.csv").write_text("\n".join(lines) + "\n")
+    if args.fmt == "csv":
+        (out_dir / "edges.csv").write_text("\n".join(csv_lines) + "\n")
 
     manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
                 "graphs": graphs, "edges": []}
@@ -298,7 +252,7 @@ def cmd_export_dot(cfg: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _parse_args(sys.argv[1:] if argv is None else argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
@@ -309,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         "export-dot": cmd_export_dot,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

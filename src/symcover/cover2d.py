@@ -12,14 +12,26 @@ The route: a digit-based initial cover whose multiplicity at (i, j) is
 the Hamming distance of the base-N expansions of i and j, then a
 transformation that replaces the cover by the subset-intersections
 prescribed by an indicator polynomial's monomials.
+
+A rectangle is the k = 2 case of a coverkd box, so this module keeps
+only the digit construction and the s2 entry points into coverkd.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .zmod import Modulus, astrong_coeff_status
+from .zmod import Modulus
 from .sympoly import SymmetricPolynomial, bbr_construct
+from .coverkd import (
+    Box,
+    PropertyReport,
+    WeightedBoxCover,
+    _check_properties,
+    _counts,
+    _transform,
+    box_multiplicity,
+)
 
 
 @dataclass(frozen=True)
@@ -45,63 +57,16 @@ class DigitScheme:
         return sum(a != b for a, b in zip(self.digits_of(i), self.digits_of(j)))
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    rows: frozenset[int]
-    cols: frozenset[int]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.rows or not self.cols
-
-    def contains(self, i: int, j: int) -> bool:
-        return i in self.rows and j in self.cols
-
-    def intersect(self, other: "Rectangle") -> "Rectangle":
-        return Rectangle(self.rows & other.rows, self.cols & other.cols)
+def Rectangle(rows: frozenset[int], cols: frozenset[int]) -> Box:
+    """The rectangle rows x cols as a two-part box."""
+    return Box((frozenset(rows), frozenset(cols)))
 
 
-@dataclass
-class WeightedRectCover:
-    """Multiset of weighted rectangles over indices 1..n.
-
-    mod is None for covers that exist before a modulus is chosen (the
-    initial digit cover); such covers report raw counts.  Weighted
-    covers keep weights canonical in 1..m-1.
-    """
-
-    n: int
-    mod: Modulus | None
-    items: list[tuple[Rectangle, int]]
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def repetition_count(self) -> int:
-        """Total count with each item repeated `weight` times."""
-        return sum(w for _, w in self.items)
-
-
-@dataclass
-class CellViolation:
-    cell: tuple[int, ...]
-    count: int
-    reason: str
-
-
-@dataclass
-class PropertyReport:
-    """Outcome of a cover property check; ok iff no violations."""
-
-    ok: bool
-    violations: list[CellViolation]
-    checked: int
-    sampled: bool = False
-    seed: int | None = None
-
-    def summary(self) -> str:
-        head = "pass" if self.ok else f"fail ({len(self.violations)} violations)"
-        tail = f", sampled with seed {self.seed}" if self.sampled else ""
-        return f"{head}: {self.checked} cells checked{tail}"
+def WeightedRectCover(
+    n: int, mod: Modulus | None, items: list[tuple[Box, int]], meta: dict | None = None
+) -> WeightedBoxCover:
+    """A weighted rectangle cover over indices 1..n: a k = 2 box cover."""
+    return WeightedBoxCover(n, 2, mod, items, {} if meta is None else meta)
 
 
 def digit_scheme(n: int) -> DigitScheme:
@@ -115,7 +80,7 @@ def digit_scheme(n: int) -> DigitScheme:
     return DigitScheme(n, base, g)
 
 
-def initial_cover(n: int, mod: Modulus | None = None) -> WeightedRectCover:
+def initial_cover(n: int, mod: Modulus | None = None) -> WeightedBoxCover:
     """One unit-weight rectangle per (digit position t, digit value l).
 
     Rows are the indices whose t-th digit equals l, columns those whose
@@ -124,7 +89,7 @@ def initial_cover(n: int, mod: Modulus | None = None) -> WeightedRectCover:
     Hamming distance, between 1 and g off the diagonal and 0 on it.
     """
     scheme = digit_scheme(n)
-    items: list[tuple[Rectangle, int]] = []
+    items: list[tuple[Box, int]] = []
     digits = {i: scheme.digits_of(i) for i in range(1, n + 1)}
     for t in range(scheme.digits):
         for l in range(scheme.base):
@@ -136,123 +101,33 @@ def initial_cover(n: int, mod: Modulus | None = None) -> WeightedRectCover:
     return WeightedRectCover(n, mod, items, {"N": scheme.base, "g": scheme.digits})
 
 
-def multiplicity(cover: WeightedRectCover, i: int, j: int) -> int:
+def multiplicity(cover: WeightedBoxCover, i: int, j: int) -> int:
     """Weighted number of items covering cell (i, j), mod m when set."""
-    if not (1 <= i <= cover.n and 1 <= j <= cover.n):
-        raise ValueError(f"cell ({i}, {j}) outside 1..{cover.n}")
-    count = sum(w for rect, w in cover.items if rect.contains(i, j))
-    return count % cover.mod.m if cover.mod else count
+    return box_multiplicity(cover, (i, j))
 
 
-def multiplicity_table(cover: WeightedRectCover) -> list[list[int]]:
+def multiplicity_table(cover: WeightedBoxCover) -> list[list[int]]:
     """All n*n multiplicities at once (row-major, 0-indexed)."""
-    table = [[0] * cover.n for _ in range(cover.n)]
-    for rect, w in cover.items:
-        for i in rect.rows:
-            row = table[i - 1]
-            for j in rect.cols:
-                row[j - 1] += w
+    counts = _counts(cover)
     if cover.mod:
-        m = cover.mod.m
-        for row in table:
-            for j, v in enumerate(row):
-                row[j] = v % m
-    return table
+        counts = list(map(cover.mod.m.__rmod__, counts))
+    n = cover.n
+    return [counts[r * n : (r + 1) * n] for r in range(n)]
 
 
-def _bitmask(indices: frozenset[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
+def transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
+    """Replace the rectangle cover by f's monomial intersections."""
+    return _transform(cover, f)
 
 
-def _unmask(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
-
-
-def transform(cover: WeightedRectCover, f: SymmetricPolynomial) -> WeightedRectCover:
-    """Replace the cover by f's monomial intersections.
-
-    One item per subset K of cover items with 1 <= |K| <= deg f and
-    c_{|K|} != 0 whose intersection rectangle is nonempty, carrying
-    weight c_{|K|}.  Afterwards the multiplicity of any cell equals f
-    evaluated at the cell's original covering count: of the subsets of
-    size t, exactly C(w, t) intersect over the cell, where w is the
-    original count.
-
-    Enumeration is depth-first in item-index order (index sets held as
-    bitmasks) and prunes any branch whose running intersection is
-    already empty, so the output order is deterministic.
-    """
-    if f.ell != len(cover.items):
-        raise ValueError(
-            f"polynomial has {f.ell} variables, cover has {len(cover.items)} items"
-        )
-    if f.coeffs[0] != 0:
-        raise ValueError(
-            "constant term must be 0: it would add an all-ones rectangle covering the diagonal"
-        )
-    if any(w != 1 for _, w in cover.items):
-        raise ValueError("transformation expects a unit-weight cover")
-    rows = [_bitmask(rect.rows) for rect, _ in cover.items]
-    cols = [_bitmask(rect.cols) for rect, _ in cover.items]
-    out: list[tuple[Rectangle, int]] = []
-
-    def extend(start: int, depth: int, row_mask: int, col_mask: int) -> None:
-        for k in range(start, len(cover.items)):
-            r = row_mask & rows[k]
-            if not r:
-                continue
-            c = col_mask & cols[k]
-            if not c:
-                continue
-            size = depth + 1
-            if size <= f.degree and f.coeffs[size] != 0:
-                out.append((Rectangle(_unmask(r), _unmask(c)), f.coeffs[size]))
-            if size < f.degree:
-                extend(k + 1, size, r, c)
-
-    full = (1 << (cover.n + 1)) - 1
-    extend(0, 0, full, full)
-    meta = dict(cover.meta)
-    meta.update(h=len(cover.items), bbr_coeffs=list(f.coeffs), bbr_degree=f.degree)
-    return WeightedRectCover(cover.n, f.mod, out, meta)
-
-
-def verify_s2_properties(cover: WeightedRectCover) -> PropertyReport:
+def verify_s2_properties(cover: WeightedBoxCover) -> PropertyReport:
     """Check every cell: diagonal counts are 0 mod m, off-diagonal counts
     are 1 modulo some prime-power factor and 0 modulo each factor where
     they are not 1."""
-    if cover.mod is None:
-        raise ValueError("cover has no modulus to verify against")
-    table = multiplicity_table(cover)
-    violations: list[CellViolation] = []
-    mod = cover.mod
-    for i in range(1, cover.n + 1):
-        for j in range(1, cover.n + 1):
-            d = table[i - 1][j - 1]
-            target = 0 if i == j else 1
-            ok, _ = astrong_coeff_status(target, d, mod)
-            if not ok:
-                violations.append(
-                    CellViolation(
-                        (i, j),
-                        d,
-                        f"count {d} has residues {mod.residues(d)} per {mod}, target {target}",
-                    )
-                )
-    return PropertyReport(not violations, violations, cover.n * cover.n)
+    return _check_properties(cover)
 
 
-def build_s2_cover(n: int, mod: Modulus) -> WeightedRectCover:
+def build_s2_cover(n: int, mod: Modulus) -> WeightedBoxCover:
     """Initial digit cover -> indicator polynomial -> transformation.
 
     After the transformation the multiplicity of off-diagonal (i, j) is
@@ -268,7 +143,7 @@ def build_s2_cover(n: int, mod: Modulus) -> WeightedRectCover:
     return result
 
 
-def transformed_weights(cover: WeightedRectCover) -> SymmetricPolynomial:
+def transformed_weights(cover: WeightedBoxCover) -> SymmetricPolynomial:
     """Reconstruct the indicator polynomial recorded by a transformation."""
     if cover.mod is None or "bbr_coeffs" not in cover.meta:
         raise ValueError("cover carries no transformation metadata")

@@ -13,6 +13,10 @@ distinct) by some row.  Per row i and injective pattern sigma the box
 collects, in part l, the columns hashed to sigma(l) by row i; a tuple
 of pairwise distinct indices is then covered once per separating row,
 between 1 and u times, and tuples with a repeated index never.
+
+A rectangle cover is the k = 2 case of a box cover, so the box types,
+the transformation and the property check here serve every k; cover2d
+builds its rectangles on them.
 """
 
 from __future__ import annotations
@@ -23,13 +27,6 @@ from dataclasses import dataclass, field
 
 from .zmod import Modulus, astrong_coeff_status
 from .sympoly import SymmetricPolynomial, bbr_construct
-from .cover2d import (
-    CellViolation,
-    PropertyReport,
-    WeightedRectCover,
-    _bitmask,
-    _unmask,
-)
 
 
 class ConstructionError(RuntimeError):
@@ -51,13 +48,27 @@ class HashMatrix:
 
     def separates(self, row: int, subset: tuple[int, ...]) -> bool:
         """True if the row's entries on these columns (1-based) are distinct."""
-        values = [self.rows[row][j - 1] for j in subset]
-        return len(set(values)) == len(values)
+        return _separates(self.rows[row], subset)
+
+
+def _separates(row: tuple[int, ...], subset: tuple[int, ...]) -> bool:
+    values = [row[j - 1] for j in subset]
+    return len(set(values)) == len(values)
 
 
 @dataclass(frozen=True)
 class Box:
     parts: tuple[frozenset[int], ...]
+
+    @property
+    def rows(self) -> frozenset[int]:
+        """First part: a rectangle's row set."""
+        return self.parts[0]
+
+    @property
+    def cols(self) -> frozenset[int]:
+        """Second part: a rectangle's column set."""
+        return self.parts[1]
 
     @property
     def is_empty(self) -> bool:
@@ -72,7 +83,12 @@ class Box:
 
 @dataclass
 class WeightedBoxCover:
-    """Multiset of weighted k-dimensional boxes over indices 1..n."""
+    """Multiset of weighted k-dimensional boxes over indices 1..n.
+
+    mod is None for covers that exist before a modulus is chosen (the
+    initial covers); such covers report raw counts.  Weighted covers
+    keep weights canonical in 1..m-1.
+    """
 
     n: int
     k: int
@@ -80,9 +96,26 @@ class WeightedBoxCover:
     items: list[tuple[Box, int]]
     meta: dict = field(default_factory=dict)
 
-    @property
-    def repetition_count(self) -> int:
-        return sum(w for _, w in self.items)
+
+@dataclass
+class CellViolation:
+    cell: tuple[int, ...]
+    count: int
+    reason: str
+
+
+@dataclass
+class PropertyReport:
+    """Outcome of a cover property check; ok iff no violations."""
+
+    ok: bool
+    violations: list[CellViolation]
+    checked: int
+    sampled: bool = False  # every check is exhaustive
+
+    def summary(self) -> str:
+        head = "pass" if self.ok else f"fail ({len(self.violations)} violations)"
+        return f"{head}: {self.checked} cells checked"
 
 
 @dataclass
@@ -131,11 +164,6 @@ def build_hash_family(
     uncovered = set(itertools.combinations(range(1, n + 1), k))
     total = len(uncovered)
     rows: list[tuple[int, ...]] = []
-
-    def separated(row: tuple[int, ...], subset: tuple[int, ...]) -> bool:
-        values = [row[j - 1] for j in subset]
-        return len(set(values)) == len(values)
-
     pool_size = 32 if strategy == "greedy" else 1
     rounds = 0
     while uncovered:
@@ -150,13 +178,13 @@ def build_hash_family(
         ]
         best = max(
             candidates,
-            key=lambda row: sum(separated(row, s) for s in uncovered),
+            key=lambda row: sum(_separates(row, s) for s in uncovered),
         )
-        gain = sum(separated(best, s) for s in uncovered)
+        gain = sum(_separates(best, s) for s in uncovered)
         if gain == 0 and strategy == "greedy":
             continue  # a useless row would only inflate u, and d = u downstream
         rows.append(best)
-        uncovered = {s for s in uncovered if not separated(best, s)}
+        uncovered = {s for s in uncovered if not _separates(best, s)}
 
     result = HashMatrix(n, k, b, tuple(rows))
     report = verify_hash_family(result)
@@ -194,22 +222,36 @@ def box_multiplicity(cover: WeightedBoxCover, tup: tuple[int, ...]) -> int:
 
 def box_multiplicity_table(cover: WeightedBoxCover) -> dict[tuple[int, ...], int]:
     """Sparse table of all covered tuples; absent tuples have count 0."""
-    table: dict[tuple[int, ...], int] = {}
-    for box, w in cover.items:
-        for tup in itertools.product(*(sorted(part) for part in box.parts)):
-            table[tup] = table.get(tup, 0) + w
+    counts = _counts(cover)
+    table = {_cell(i, cover.n, cover.k): c for i, c in enumerate(counts) if c}
     if cover.mod:
         m = cover.mod.m
         return {tup: v % m for tup, v in table.items()}
     return table
 
 
-def transform_boxes(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
-    """Box-cover version of the monomial-intersection transformation.
+def _bitmask(indices: frozenset[int]) -> int:
+    return sum(1 << i for i in indices)
 
-    Identical to the two-dimensional case with componentwise part
-    intersections; a subset's box dies as soon as any part empties,
-    which in particular kills all pairs drawn from one hash row (two
+
+def _unmask(mask: int) -> frozenset[int]:
+    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+
+
+def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
+    """Replace the cover by f's monomial intersections, for every k.
+
+    One item per subset K of cover items with 1 <= |K| <= deg f and
+    c_{|K|} != 0 whose intersection box is nonempty, carrying weight
+    c_{|K|}.  Afterwards the multiplicity of any cell equals f
+    evaluated at the cell's original covering count: of the subsets of
+    size t, exactly C(w, t) intersect over the cell, where w is the
+    original count.
+
+    Enumeration is depth-first in item-index order (index sets held as
+    bitmasks) and prunes a branch as soon as any part of its running
+    intersection empties, so the output order is deterministic.  For
+    hash-family boxes this kills all pairs drawn from one hash row (two
     distinct injective patterns disagree somewhere, and a column hashes
     to a single value per row).
     """
@@ -218,29 +260,36 @@ def transform_boxes(cover: WeightedBoxCover, f: SymmetricPolynomial) -> Weighted
             f"polynomial has {f.ell} variables, cover has {len(cover.items)} items"
         )
     if f.coeffs[0] != 0:
-        raise ValueError("constant term must be 0: it would cover everything")
+        raise ValueError(
+            "constant term must be 0: it would cover every cell, "
+            "repeated indices included"
+        )
     if any(w != 1 for _, w in cover.items):
         raise ValueError("transformation expects a unit-weight cover")
 
-    masks = [
-        tuple(_bitmask(part) for part in box.parts) for box, _ in cover.items
-    ]
+    masks = [[_bitmask(part) for part in box.parts] for box, _ in cover.items]
+    # most candidates die on the first part, so test it before the rest
+    firsts = [mask[0] for mask in masks]
+    rests = [mask[1:] for mask in masks]
     out: list[tuple[Box, int]] = []
 
     def extend(start: int, depth: int, current: tuple[int, ...]) -> None:
+        size = depth + 1
+        coeff = f.coeffs[size] if size <= f.degree else 0
+        first, rest = current[0], current[1:]
         for idx in range(start, len(masks)):
-            merged = []
-            for a, b in zip(current, masks[idx]):
+            c = first & firsts[idx]
+            if not c:
+                continue
+            merged = [c]
+            for a, b in zip(rest, rests[idx]):
                 c = a & b
                 if not c:
                     break
                 merged.append(c)
             else:
-                size = depth + 1
-                if size <= f.degree and f.coeffs[size] != 0:
-                    out.append(
-                        (Box(tuple(_unmask(x) for x in merged)), f.coeffs[size])
-                    )
+                if coeff != 0:
+                    out.append((Box(tuple(_unmask(x) for x in merged)), coeff))
                 if size < f.degree:
                     extend(idx + 1, size, tuple(merged))
 
@@ -251,52 +300,75 @@ def transform_boxes(cover: WeightedBoxCover, f: SymmetricPolynomial) -> Weighted
     return WeightedBoxCover(cover.n, cover.k, f.mod, out, meta)
 
 
-def verify_sk_properties(
-    cover: WeightedBoxCover,
-    exhaustive_cap: int = 10**7,
-    seed: int = 0,
-    sample_size: int = 200_000,
-) -> PropertyReport:
-    """Check tuples of (1..n)^k: repeated-index tuples must count 0 mod m,
-    distinct-index tuples must carry the unit-pattern property.
+def transform_boxes(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
+    """The monomial-intersection transformation of a box cover."""
+    return _transform(cover, f)
 
-    Exhaustive when n**k <= exhaustive_cap, otherwise a seeded uniform
-    sample (the report records the mode and seed).
-    """
+
+def _counts(cover: WeightedBoxCover) -> list[int]:
+    """Raw weighted counts of all n**k cells, flat and row-major: cell
+    (j_1, ..., j_k) sits at index sum of (j_l - 1) * n**(k - l)."""
+    n = cover.n
+    counts = [0] * n**cover.k
+    for box, w in cover.items:
+        bases = [0]
+        for part in box.parts[:-1]:
+            bases = [(b + j - 1) * n for b in bases for j in part]
+        last = [j - 1 for j in box.parts[-1]]
+        for b in bases:
+            for j in last:
+                counts[b + j] += w
+    return counts
+
+
+def _cell(index: int, n: int, k: int) -> tuple[int, ...]:
+    """The 1-based tuple at a flat index of _counts."""
+    return tuple(index // n ** (k - 1 - l) % n + 1 for l in range(k))
+
+
+def _repeated_cells(n: int, k: int) -> set[int]:
+    """Flat indices of the tuples with some index repeated: each is a
+    (k-1)-tuple u with an entry u[a] inserted again at a position b <= a
+    (drop the first of a repeated pair to get u)."""
+    strides = [n ** (k - 1 - l) for l in range(k)]
+    return {
+        sum(j * s for j, s in zip(u[:b] + (u[a],) + u[b:], strides))
+        for u in itertools.product(range(n), repeat=k - 1)
+        for b in range(k - 1)
+        for a in range(b, k - 1)
+    }
+
+
+def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
+    """Exhaustive check of all n**k cells: repeated-index tuples must
+    count 0 mod m, distinct-index tuples must carry the unit-pattern
+    property.  Verdicts are computed once per count that occurs, and only
+    cells failing the unit pattern or having a repeated index are looked
+    at one by one."""
     if cover.mod is None:
         raise ValueError("cover has no modulus to verify against")
-    mod = cover.mod
-    table = box_multiplicity_table(cover)
-    space = cover.n**cover.k
-    sampled = space > exhaustive_cap
+    mod, n, k = cover.mod, cover.n, cover.k
+    counts = _counts(cover)
+    bad = {
+        target: {c: not astrong_coeff_status(target, c, mod)[0] for c in set(counts)}
+        for target in (0, 1)
+    }
+    suspects = _repeated_cells(n, k)
+    suspects.update(itertools.compress(range(len(counts)), map(bad[1].__getitem__, counts)))
+    violations = []
+    for i in sorted(suspects):
+        cell, d = _cell(i, n, k), counts[i] % mod.m
+        target = int(len(set(cell)) == k)
+        if bad[target][counts[i]]:
+            reason = f"count {d} has residues {mod.residues(d)} per {mod}, target {target}"
+            violations.append(CellViolation(cell, d, reason))
+    return PropertyReport(not violations, violations, len(counts))
 
-    if sampled:
-        rng = random.Random(seed)
-        tuples = (
-            tuple(rng.randint(1, cover.n) for _ in range(cover.k))
-            for _ in range(sample_size)
-        )
-    else:
-        tuples = itertools.product(range(1, cover.n + 1), repeat=cover.k)
 
-    violations: list[CellViolation] = []
-    checked = 0
-    for tup in tuples:
-        checked += 1
-        d = table.get(tup, 0) % mod.m
-        target = 0 if len(set(tup)) < cover.k else 1
-        ok, _ = astrong_coeff_status(target, d, mod)
-        if not ok:
-            violations.append(
-                CellViolation(
-                    tup,
-                    d,
-                    f"count {d} has residues {mod.residues(d)} per {mod}, target {target}",
-                )
-            )
-    return PropertyReport(
-        not violations, violations, checked, sampled, seed if sampled else None
-    )
+def verify_sk_properties(cover: WeightedBoxCover) -> PropertyReport:
+    """Check every tuple of (1..n)^k: repeated-index tuples must count
+    0 mod m, distinct-index tuples must carry the unit-pattern property."""
+    return _check_properties(cover)
 
 
 def build_sk_cover(
@@ -327,7 +399,8 @@ def build_sk_cover(
     return result
 
 
-def rect_as_box_cover(cover: WeightedRectCover) -> WeightedBoxCover:
-    """View a rectangle cover as the equivalent k = 2 box cover."""
-    items = [(Box((rect.rows, rect.cols)), w) for rect, w in cover.items]
-    return WeightedBoxCover(cover.n, 2, cover.mod, items, dict(cover.meta))
+def rect_as_box_cover(cover: WeightedBoxCover) -> WeightedBoxCover:
+    """A rectangle cover already is the k = 2 box cover; checks k only."""
+    if cover.k != 2:
+        raise ValueError(f"not a rectangle cover: k = {cover.k}")
+    return cover

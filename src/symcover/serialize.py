@@ -1,6 +1,6 @@
 """Versioned JSON artifacts for covers and circuits.
 
-One self-describing schema for both cover kinds: the file carries the
+One self-describing schema for covers of every k: the file carries the
 modulus with its factorization and the construction metadata, so a
 verifier never has to re-derive parameters from flags.  Dumping is
 deterministic (sorted keys, sorted index lists, fixed indentation):
@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .zmod import Modulus
-from .cover2d import Rectangle, WeightedRectCover
+from .zmod import Modulus, factorize
 from .coverkd import Box, WeightedBoxCover
 from .circuit import (
     Gate,
@@ -34,52 +33,65 @@ def _mod_fields(mod: Modulus) -> dict:
 
 
 def _mod_from(data: dict) -> Modulus:
-    return Modulus(data["m"], tuple((p, e) for p, e in data["factors"]))
+    """The modulus the artifact names, refactorized: stored factors that
+    disagree with it would have the checks run against another modulus."""
+    m = data["m"]
+    if type(m) is not int or m < 2:
+        raise SchemaError(f"modulus must be an integer >= 2, got {m!r}")
+    mod = factorize(m)
+    if data["factors"] != [list(f) for f in mod.factors]:
+        raise SchemaError(f"stored factors {data['factors']} do not factor m = {m}")
+    return mod
 
 
-def cover_to_dict(cover: WeightedRectCover | WeightedBoxCover) -> dict:
+def cover_to_dict(cover: WeightedBoxCover) -> dict:
+    """kind "rect" for k = 2 covers, "box" otherwise."""
     if cover.mod is None:
         raise ValueError("only covers with a modulus are serialized")
-    if isinstance(cover, WeightedRectCover):
-        kind, k = "rect", 2
-        parts_of = lambda item: [sorted(item.rows), sorted(item.cols)]
-    else:
-        kind, k = "box", cover.k
-        parts_of = lambda item: [sorted(p) for p in item.parts]
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
+        "kind": "rect" if cover.k == 2 else "box",
         "n": cover.n,
-        "k": k,
+        "k": cover.k,
         **_mod_fields(cover.mod),
         "items": [
-            {"parts": parts_of(shape), "weight": w} for shape, w in cover.items
+            {"parts": [sorted(p) for p in box.parts], "weight": w}
+            for box, w in cover.items
         ],
         "meta": cover.meta,
     }
 
 
-def cover_from_dict(data: dict) -> WeightedRectCover | WeightedBoxCover:
+def cover_from_dict(data: dict) -> WeightedBoxCover:
+    """Read either cover kind, rejecting anything the checks could
+    misread: n < 2, a part count other than k, an index outside 1..n
+    (it would alias into a neighbouring cell), a weight outside
+    1..m-1, or stored factors that do not factor m."""
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {data['schema_version']}")
+        kind, n, k = data["kind"], data["n"], data["k"]
+        if kind not in ("rect", "box"):
+            raise SchemaError(f"unknown cover kind {kind!r}")
+        if type(n) is not int or n < 2:
+            raise SchemaError(f"n must be an integer >= 2, got {n!r}")
+        if type(k) is not int or k < 2 or (kind == "rect" and k != 2):
+            raise SchemaError(f"a {kind} cover cannot have k = {k!r}")
         mod = _mod_from(data)
-        kind = data["kind"]
-        items_raw = [(d["parts"], d["weight"]) for d in data["items"]]
-        if kind == "rect":
-            items = [
-                (Rectangle(frozenset(p[0]), frozenset(p[1])), w)
-                for p, w in items_raw
-            ]
-            return WeightedRectCover(data["n"], mod, items, data.get("meta", {}))
-        if kind == "box":
-            boxes = [
-                (Box(tuple(frozenset(part) for part in p)), w) for p, w in items_raw
-            ]
-            return WeightedBoxCover(
-                data["n"], data["k"], mod, boxes, data.get("meta", {})
-            )
-        raise SchemaError(f"unknown cover kind {kind!r}")
+        indices = frozenset(range(1, n + 1))
+        items = []
+        for pos, d in enumerate(data["items"]):
+            parts, w = d["parts"], d["weight"]
+            if len(parts) != k:
+                raise SchemaError(f"item {pos} has {len(parts)} parts, k = {k}")
+            if type(w) is not int or not 1 <= w < mod.m:
+                raise SchemaError(f"item {pos} weight {w!r} is not in 1..{mod.m - 1}")
+            box = Box(tuple(frozenset(p) for p in parts))
+            for p, part in zip(parts, box.parts):
+                if not (part <= indices and {*map(type, p)} <= {int}):
+                    raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
+            items.append((box, w))
+        return WeightedBoxCover(n, k, mod, items, data.get("meta", {}))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed cover artifact: {exc}") from exc
 

@@ -77,6 +77,27 @@ def test_verify_corrupted_cover(tmp_path, capsys):
     assert re.search(r"cell \(\d+, \d+\)", out)
 
 
+def test_verify_rejects_wrong_modulus(tmp_path, capsys):
+    # m = 30 with the factors of 6 would otherwise be checked mod 6 and pass
+    cover = _build(tmp_path)
+    data = json.loads(cover.read_text())
+    data["m"] = 30
+    cover.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(cover)]) == 2
+    assert "factor" in capsys.readouterr().err
+
+
+def test_verify_rejects_index_zero(tmp_path, capsys):
+    # index 0 would alias into row n and pass once the expansion is skipped
+    cover = _build(tmp_path)
+    data = json.loads(cover.read_text())
+    for item in data["items"]:
+        item["parts"][0] = sorted(0 if i == 16 else i for i in item["parts"][0])
+    cover.write_text(json.dumps(data))
+    assert main(["verify", "--in", str(cover), "--expansion-budget", "0"]) == 2
+    assert "outside 1..16" in capsys.readouterr().err
+
+
 def test_build_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -126,11 +147,19 @@ def test_export_dot_even_m_guard(tmp_path, capsys):
 
 
 def test_export_dot_counts(tmp_path, capsys):
-    cover = tmp_path / "cover.json"
+    # an s2 cover, and an sk cover with k = 2
+    for n, poly in ((4, ["s2"]), (6, ["sk", "--k", "2"])):
+        work = tmp_path / poly[0]
+        work.mkdir()
+        _check_export_dot_counts(work, n, poly)
+
+
+def _check_export_dot_counts(work, n, poly):
+    cover = work / "cover.json"
     assert main(
-        ["build", "--poly", "s2", "--n", "4", "--m", "15", "--out", str(cover)]
+        ["build", "--poly", *poly, "--n", str(n), "--m", "15", "--out", str(cover)]
     ) == 0
-    out_dir = tmp_path / "dots"
+    out_dir = work / "dots"
     assert main(["export-dot", "--in", str(cover), "--out-dir", str(out_dir)]) == 0
 
     # Recount edge coverage from the emitted files alone.
@@ -149,8 +178,8 @@ def test_export_dot_counts(tmp_path, capsys):
                 edge_counts[edge] = edge_counts.get(edge, 0) + 1
         assert left and right and not (left & right)  # bipartite, disjoint
 
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
             count = edge_counts.get((i, j), 0)
             assert count % 3 == 1 or count % 5 == 1, (i, j, count)
 
@@ -180,7 +209,7 @@ def test_export_csv_format(tmp_path):
 def test_export_rejects_box_cover(tmp_path):
     cover = tmp_path / "cover.json"
     assert main(
-        ["build", "--poly", "sk", "--n", "6", "--k", "2", "--m", "15",
+        ["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",
          "--out", str(cover)]
     ) == 0
     code = main(["export-dot", "--in", str(cover), "--out-dir", str(tmp_path / "d")])

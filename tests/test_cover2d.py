@@ -88,7 +88,7 @@ def test_rectangle_intersection_algebra():
 
 def _brute_transform_multiplicity(cover, f, i, j):
     # Independent oracle: walk every subset of items explicitly.
-    hits = [idx for idx, (rect, _) in enumerate(cover.items) if rect.contains(i, j)]
+    hits = [idx for idx, (rect, _) in enumerate(cover.items) if rect.contains((i, j))]
     total = 0
     for size in range(1, f.degree + 1):
         if f.coeffs[size] == 0:
@@ -108,7 +108,7 @@ def test_transform_matches_subset_enumeration():
             expected = _brute_transform_multiplicity(cover, f, i, j)
             assert multiplicity(out, i, j) == expected
             # Same number via the weight-value form.
-            w = sum(1 for rect, _ in cover.items if rect.contains(i, j))
+            w = sum(1 for rect, _ in cover.items if rect.contains((i, j)))
             assert expected == weight_value(f, w)
 
 
@@ -194,11 +194,26 @@ def test_verify_examples():
     assert not report.ok
     assert any(v.cell == (1, 1) for v in report.violations)
 
+    # One bad cell at each far corner of the flat table, every other exact.
+    n = 4
+    for cell in [(1, n), (n, 1), (n, n)]:
+        items = [
+            (Rectangle(frozenset({i}), frozenset({j})), 1)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if i != j and (i, j) != cell
+        ]
+        if cell == (n, n):
+            items.append((Rectangle(frozenset({n}), frozenset({n})), 1))
+        report = verify_s2_properties(WeightedRectCover(n, M6, items))
+        assert [v.cell for v in report.violations] == [cell]
+        assert report.checked == n * n
+
 
 def test_build_s2_diagonal_never_covered():
     cover = build_s2_cover(16, M6)
     for i in range(1, 17):
-        raw = sum(w for rect, w in cover.items if rect.contains(i, i))
+        raw = sum(w for rect, w in cover.items if rect.contains((i, i)))
         assert raw == 0
 
 

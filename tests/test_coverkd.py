@@ -174,16 +174,6 @@ def test_transformed_boxes_have_disjoint_parts():
             assert not (a & b)
 
 
-def test_sampled_verification_reports_mode():
-    cover = build_sk_cover(8, 2, M6, seed=1)
-    report = verify_sk_properties(cover, exhaustive_cap=10, seed=42, sample_size=500)
-    assert report.sampled
-    assert report.seed == 42
-    assert report.checked == 500
-    assert report.ok
-    assert "seed" in report.summary()
-
-
 def test_cross_validation_with_rect_pipeline():
     rect = build_s2_cover(8, M6)
     boxed = rect_as_box_cover(rect)
@@ -200,3 +190,19 @@ def test_repeated_index_tuples_flagged_when_covered():
     report = verify_sk_properties(bad)
     assert not report.ok
     assert any(v.cell == (1, 1) for v in report.violations)
+
+    # k = 3, every distinct-index tuple covered once except for one
+    # dropped tuple or one added repeated-index tuple, at the corners and
+    # edges of the flat table.
+    n = 3
+    for cell in [(1, 2, n), (n, 2, 1), (n, n, n), (1, n, 1)]:
+        items = [
+            (Box(tuple(frozenset({j}) for j in tup)), 1)
+            for tup in itertools.permutations(range(1, n + 1), 3)
+            if tup != cell
+        ]
+        if len(set(cell)) < 3:
+            items.append((Box(tuple(frozenset({j}) for j in cell)), 1))
+        report = verify_sk_properties(WeightedBoxCover(n, 3, M6, items))
+        assert [v.cell for v in report.violations] == [cell]
+        assert report.checked == n**3
