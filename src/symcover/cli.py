@@ -122,7 +122,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cover = serialize.cover_from_dict(serialize.load(args.input))
     verify, to_circuit = _checks(cover.k)
-    report = verify(cover)
+    try:
+        report = verify(cover)
+    except MemoryError:
+        raise ValueError(
+            f"not enough memory for the check's n**k = {cover.n}**{cover.k} counts"
+        ) from None
     circuit = to_circuit(cover)
     print(f"properties: {report.summary()}")
     for v in report.violations[:20]:

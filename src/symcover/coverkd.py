@@ -21,7 +21,9 @@ builds its rectangles on them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -30,7 +32,8 @@ from .sympoly import SymmetricPolynomial, bbr_construct
 
 
 class ConstructionError(RuntimeError):
-    """Raised when a randomized search exceeds its resource cap."""
+    """Raised when a randomized search exceeds its resource cap or a
+    construction fails its closing exhaustive check."""
 
 
 @dataclass(frozen=True)
@@ -176,11 +179,9 @@ def build_hash_family(
         candidates = [
             tuple(rng.randrange(b) for _ in range(n)) for _ in range(pool_size)
         ]
-        best = max(
-            candidates,
-            key=lambda row: sum(_separates(row, s) for s in uncovered),
-        )
-        gain = sum(_separates(best, s) for s in uncovered)
+        gains = [sum(_separates(row, s) for s in uncovered) for row in candidates]
+        gain = max(gains)
+        best = candidates[gains.index(gain)]
         if gain == 0 and strategy == "greedy":
             continue  # a useless row would only inflate u, and d = u downstream
         rows.append(best)
@@ -188,7 +189,11 @@ def build_hash_family(
 
     result = HashMatrix(n, k, b, tuple(rows))
     report = verify_hash_family(result)
-    assert report.ok, "incremental tracking disagrees with exhaustive check"
+    if not report.ok:
+        raise ConstructionError(
+            f"incremental tracking disagrees with the exhaustive check: "
+            f"{len(report.failing_subsets)} subsets unseparated"
+        )
     return result
 
 
@@ -234,8 +239,14 @@ def _bitmask(indices: frozenset[int]) -> int:
     return sum(1 << i for i in indices)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _unmask(mask: int) -> frozenset[int]:
-    return frozenset(i for i, bit in enumerate(reversed(bin(mask))) if bit == "1")
+    """The set bits of mask: its binary digits, lowest first, as 0/1 bytes
+    select the positions to keep."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+    return frozenset(itertools.compress(itertools.count(), bits))
 
 
 def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
@@ -248,12 +259,19 @@ def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCo
     size t, exactly C(w, t) intersect over the cell, where w is the
     original count.
 
-    Enumeration is depth-first in item-index order (index sets held as
-    bitmasks) and prunes a branch as soon as any part of its running
-    intersection empties, so the output order is deterministic.  For
-    hash-family boxes this kills all pairs drawn from one hash row (two
-    distinct injective patterns disagree somewhere, and a column hashes
-    to a single value per row).
+    Enumeration is depth-first in item-index order, with index sets and
+    item sets held as bitmasks.  meeting[i] is the set of items whose box
+    meets box i in every part: the AND over parts l of the OR, over the
+    indices j in part l of box i, of the items whose part l holds j.  A
+    node's candidates are the items after its last one that are in
+    meeting[] of every item on its path.  They are visited in increasing
+    index order, and each gets the exact k-part intersection test.  An
+    item left out misses some path item entirely in some part, so its
+    intersection with the path would be empty anyway: the output, and
+    its order, is that of scanning every later item.  For hash-family
+    boxes, items from one hash row never meet (two distinct injective
+    patterns disagree somewhere, and a column hashes to a single value
+    per row), so they are never candidates of each other.
     """
     if f.ell != len(cover.items):
         raise ValueError(
@@ -267,34 +285,46 @@ def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCo
     if any(w != 1 for _, w in cover.items):
         raise ValueError("transformation expects a unit-weight cover")
 
-    masks = [[_bitmask(part) for part in box.parts] for box, _ in cover.items]
-    # most candidates die on the first part, so test it before the rest
-    firsts = [mask[0] for mask in masks]
-    rests = [mask[1:] for mask in masks]
+    masks = [tuple(_bitmask(part) for part in box.parts) for box, _ in cover.items]
+    # holders[l][j]: the items whose part l holds index j
+    holders = [[0] * (cover.n + 1) for _ in range(cover.k)]
+    for idx, (box, _) in enumerate(cover.items):
+        for holder, part in zip(holders, box.parts):
+            for j in part:
+                holder[j] |= 1 << idx
+    meeting = []
+    for box, _ in cover.items:
+        meets = -1
+        for holder, part in zip(holders, box.parts):
+            meets &= functools.reduce(operator.or_, map(holder.__getitem__, part), 0)
+        meeting.append(meets)
     out: list[tuple[Box, int]] = []
+    # output boxes repeat few distinct parts (hash-family boxes above all),
+    # so each distinct part is built once and shared; the memo dies with this call
+    part_of = functools.cache(_unmask)
 
-    def extend(start: int, depth: int, current: tuple[int, ...]) -> None:
+    def extend(cands: int, depth: int, current: tuple[int, ...]) -> None:
         size = depth + 1
         coeff = f.coeffs[size] if size <= f.degree else 0
-        first, rest = current[0], current[1:]
-        for idx in range(start, len(masks)):
-            c = first & firsts[idx]
-            if not c:
-                continue
-            merged = [c]
-            for a, b in zip(rest, rests[idx]):
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            idx = low.bit_length() - 1  # cands now holds the candidates after idx
+            merged = []
+            for a, b in zip(current, masks[idx]):
                 c = a & b
                 if not c:
                     break
                 merged.append(c)
             else:
                 if coeff != 0:
-                    out.append((Box(tuple(_unmask(x) for x in merged)), coeff))
+                    out.append((Box(tuple(map(part_of, merged))), coeff))
                 if size < f.degree:
-                    extend(idx + 1, size, tuple(merged))
+                    extend(cands & meeting[idx], size, tuple(merged))
 
     full = (1 << (cover.n + 1)) - 1
-    extend(0, 0, (full,) * cover.k)
+    extend((1 << len(masks)) - 1, 0, (full,) * cover.k)
+    del extend  # the closure refers to itself; free meeting[] now, not at the next gc
     meta = dict(cover.meta)
     meta.update(h=len(cover.items), bbr_coeffs=list(f.coeffs), bbr_degree=f.degree)
     return WeightedBoxCover(cover.n, cover.k, f.mod, out, meta)

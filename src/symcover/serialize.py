@@ -10,6 +10,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .zmod import Modulus, factorize
@@ -64,9 +65,10 @@ def cover_to_dict(cover: WeightedBoxCover) -> dict:
 
 def cover_from_dict(data: dict) -> WeightedBoxCover:
     """Read either cover kind, rejecting anything the checks could
-    misread: n < 2, a part count other than k, an index outside 1..n
-    (it would alias into a neighbouring cell), a weight outside
-    1..m-1, or stored factors that do not factor m."""
+    misread: n < 2, n**k beyond any table's size, a part count other
+    than k, an index outside 1..n (it would alias into a neighbouring
+    cell) or repeated in its part (it would be judged as written once),
+    a weight outside 1..m-1, or stored factors that do not factor m."""
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {data['schema_version']}")
@@ -77,8 +79,10 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
             raise SchemaError(f"n must be an integer >= 2, got {n!r}")
         if type(k) is not int or k < 2 or (kind == "rect" and k != 2):
             raise SchemaError(f"a {kind} cover cannot have k = {k!r}")
+        # n >= 2, so k >= 64 alone exceeds it, and no huge power is computed
+        if k >= 64 or n**k > sys.maxsize:
+            raise SchemaError(f"n**k = {n}**{k} cells is more than any table can hold")
         mod = _mod_from(data)
-        indices = frozenset(range(1, n + 1))
         items = []
         for pos, d in enumerate(data["items"]):
             parts, w = d["parts"], d["weight"]
@@ -88,8 +92,13 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
                 raise SchemaError(f"item {pos} weight {w!r} is not in 1..{mod.m - 1}")
             box = Box(tuple(frozenset(p) for p in parts))
             for p, part in zip(parts, box.parts):
-                if not (part <= indices and {*map(type, p)} <= {int}):
+                if not (
+                    {*map(type, p)} <= {int}
+                    and (not part or 1 <= min(part) and max(part) <= n)
+                ):
                     raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
+                if len(part) != len(p):
+                    raise SchemaError(f"item {pos} repeats an index in part {p}")
             items.append((box, w))
         return WeightedBoxCover(n, k, mod, items, data.get("meta", {}))
     except (KeyError, TypeError) as exc:

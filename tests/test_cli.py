@@ -98,6 +98,39 @@ def test_verify_rejects_index_zero(tmp_path, capsys):
     assert "outside 1..16" in capsys.readouterr().err
 
 
+def _box_artifact(n, k, items):
+    return {"schema_version": 1, "kind": "box", "n": n, "k": k, "m": 6,
+            "factors": [[2, 1], [3, 1]], "items": items, "meta": {}}
+
+
+@pytest.mark.parametrize(
+    "artifact, message",
+    [
+        # [0] * 2**64 would raise OverflowError inside the check
+        (_box_artifact(2, 64, []), "n**k = 2**64"),
+        (_box_artifact(3, 3, [{"parts": [[1, 1], [2], [3]], "weight": 1}]),
+         "repeats an index"),
+    ],
+    ids=["k-64", "duplicate-index"],
+)
+def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(artifact))
+    assert main(["verify", "--in", str(cover)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cover):
+        raise MemoryError
+
+    monkeypatch.setattr("symcover.cli.verify_sk_properties", out_of_memory)
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(_box_artifact(3, 3, [])))
+    assert main(["verify", "--in", str(cover)]) == 2
+    assert "n**k = 3**3" in capsys.readouterr().err
+
+
 def test_build_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

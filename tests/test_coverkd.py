@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, bbr_construct, weight_value
-from symcover.cover2d import build_s2_cover
+from symcover.cover2d import build_s2_cover, initial_cover, transform
 from symcover.coverkd import (
     Box,
     ConstructionError,
@@ -23,6 +24,7 @@ from symcover.coverkd import (
 
 M6 = factorize(6)
 M35 = factorize(35)
+M385 = factorize(385)
 
 PAIRS_MATRIX = HashMatrix(4, 2, 2, ((0, 0, 1, 1), (0, 1, 0, 1)))
 
@@ -127,6 +129,41 @@ def test_transform_boxes_matches_weight_values():
             assert tup not in out_table or out_table[tup] % 6 == 0
 
 
+def _subset_items(cover, f):
+    """The transform's items by definition: every item subset of size
+    1..deg f with c_t != 0 and a nonempty intersection, in index-tuple
+    order."""
+    found = []
+    for t in range(1, f.degree + 1):
+        if f.coeffs[t] == 0:
+            continue
+        for combo in itertools.combinations(range(len(cover.items)), t):
+            box = functools.reduce(Box.intersect, (cover.items[i][0] for i in combo))
+            if not box.is_empty:
+                found.append((combo, box, f.coeffs[t]))
+    return [(box, w) for _, box, w in sorted(found, key=lambda e: e[0])]
+
+
+@pytest.mark.parametrize(
+    "make, run, coeffs",
+    [
+        (lambda: initial_box_cover(build_hash_family(6, 3, 3, seed=0)),
+         transform_boxes, (0, 1, 2, 5)),
+        # c_2 = 0: no pair is written, but the triples through the pairs are
+        (lambda: initial_box_cover(build_hash_family(6, 3, 3, seed=0)),
+         transform_boxes, (0, 1, 0, 5)),
+        (lambda: initial_box_cover(build_hash_family(5, 4, 4, seed=0)),
+         transform_boxes, (0, 1, 2, 5)),
+        (lambda: initial_cover(8), transform, (0, 1, 2, 5)),
+    ],
+    ids=["k3-hash", "k3-hash-c2-zero", "k4-hash", "s2-digits-8"],
+)
+def test_transform_item_list_is_subset_enumeration(make, run, coeffs):
+    base = make()
+    f = SymmetricPolynomial(len(base.items), coeffs, M6)
+    assert run(base, f).items == _subset_items(base, f)
+
+
 def test_transform_boxes_rejects_bad_inputs():
     base = initial_box_cover(PAIRS_MATRIX, M6)
     with pytest.raises(ValueError, match="variables"):
@@ -149,6 +186,11 @@ def test_build_sk_cover_k3():
     cover = build_sk_cover(12, 3, M35, seed=1)
     assert verify_sk_properties(cover).ok
     assert cover.meta["d"] == cover.meta["u"]
+
+
+def test_build_sk_cover_k5():
+    cover = build_sk_cover(8, 5, M385)
+    assert verify_sk_properties(cover).ok
 
 
 def test_ordering_invariance():

@@ -101,6 +101,7 @@ def _box():
         (_rect, ["items", 0, "parts", 0], [0], "outside 1..4"),
         (_rect, ["items", 0, "parts", 1], [5], "outside 1..4"),
         (_box, ["items", 0, "parts", 2], [1.0], "outside 1..6"),
+        (_box, ["items", 0, "parts", 0], [1, 1], "repeats an index"),
         (_rect, ["items", 0, "weight"], 0, "not in 1..5"),
         (_rect, ["items", 0, "weight"], 6, "not in 1..5"),
         (_rect, ["items", 0, "weight"], 1.5, "not in 1..5"),
@@ -110,8 +111,8 @@ def _box():
     ],
     ids=[
         "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "part-count",
-        "index-0", "index-n-plus-1", "index-not-int", "weight-0", "weight-m",
-        "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
+        "index-0", "index-n-plus-1", "index-not-int", "index-repeated", "weight-0",
+        "weight-m", "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
     ],
 )
 def test_reader_rejects_malformed_fields(make, path, value, message):
