@@ -13,6 +13,7 @@ on either side only are compared against 0.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .zmod import Modulus, astrong_coeff_status
@@ -54,20 +55,23 @@ def target_coefficients(n: int, k: int, ordered: bool = False) -> CoefficientMap
     unordered: coefficient 1 on each of the C(n, k) square-free
     monomials in the single group; ordered: coefficient 1 on each
     distinct-index tuple across the k groups, one monomial per ordering.
+    Monomials list their variables in sorted order; each (group, i) is
+    one shared tuple.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    coeffs: dict[Monomial, int] = {}
+    groups = group_names(k) if ordered else ("x",)
+    # ids[l][i] is variable i of the l-th group in sorted name order
+    ids = [[(g, i) for i in range(n + 1)] for g in sorted(groups)]
     if ordered:
-        space = VariableSpace(group_names(k), n)
-        for tup in itertools.permutations(range(1, n + 1), k):
-            mono = tuple(sorted(zip(space.groups, tup)))
-            coeffs[mono] = 1
+        # renaming positions maps the distinct-index tuples onto themselves,
+        # so pairing each one with the sorted names yields the same key set
+        perms = itertools.permutations(range(1, n + 1), k)
+        pick = itertools.repeat(list.__getitem__)
+        monos = map(tuple, map(map, pick, itertools.repeat(ids), perms))
     else:
-        space = VariableSpace(("x",), n)
-        for subset in itertools.combinations(range(1, n + 1), k):
-            coeffs[tuple(("x", i) for i in subset)] = 1
-    return CoefficientMap(space, coeffs)
+        monos = itertools.combinations(ids[0][1:], k)
+    return CoefficientMap(VariableSpace(groups, n), dict.fromkeys(monos, 1))
 
 
 def check_astrong(
@@ -79,19 +83,35 @@ def check_astrong(
     a = b, and every disagreeing factor must have b = 0.  A monomial
     missing from a map counts as coefficient 0 there; in particular a
     stray monomial in b must vanish mod every factor, hence mod m.
+
+    Monomials are tallied per distinct (target, actual) pair and each
+    pair is judged once; only monomials of a failing pair are sorted.
     """
     if b.vars != a.vars:
         raise ValueError(
             f"coefficient maps live on different variable spaces: "
             f"{b.vars} vs {a.vars}"
         )
+    ac, bc = a.coeffs, b.coeffs
+    # (target, actual) over a's support; actual None where b stores nothing
+    tally = Counter(zip(ac.values(), map(bc.get, ac)))
+    unstored = sum(count for (_, bv), count in tally.items() if bv is None)
+    stray = []
+    if len(bc) > len(ac) - unstored:
+        stray = [*itertools.filterfalse(ac.__contains__, bc)]
+        tally.update(zip(itertools.repeat(0), map(bc.__getitem__, stray)))
+    status = {pair: astrong_coeff_status(pair[0], pair[1] or 0, mod) for pair in tally}
+    failing = {pair for pair, (ok, _) in status.items() if not ok}
     violations: list[MonomialWitness] = []
-    support = set(a.coeffs) | set(b.coeffs)
-    for mono in sorted(support):
-        av = a.coeffs.get(mono, 0)
-        bv = b.coeffs.get(mono, 0)
-        ok, agree = astrong_coeff_status(av, bv, mod)
-        if not ok:
-            pairs = [(av % q, bv % q) for q in mod.prime_powers]
-            violations.append(MonomialWitness(mono, av, bv, pairs, agree))
-    return AStrongReport(not violations, violations, len(support))
+    if failing:
+        pairs_of_a = zip(ac.values(), map(bc.get, ac))
+        found = [
+            *itertools.compress(ac, map(failing.__contains__, pairs_of_a)),
+            *(mono for mono in stray if (0, bc[mono]) in failing),
+        ]
+        for mono in sorted(found):
+            pair = (ac.get(mono, 0), bc.get(mono))
+            av, bv = pair[0], pair[1] or 0
+            residues = [(av % q, bv % q) for q in mod.prime_powers]
+            violations.append(MonomialWitness(mono, av, bv, residues, status[pair][1]))
+    return AStrongReport(not violations, violations, len(ac) + len(stray))

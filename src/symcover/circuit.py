@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
@@ -94,16 +96,19 @@ class CircuitSize:
 
 
 def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
-    """One k-linear gate per item, weight folded into the first form."""
+    """One k-linear gate per item, weight folded into the first form.
+    Every form names its variables through one shared id per (group, j)."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
     space = VariableSpace(group_names(cover.k), cover.n)
+    ids = [[(g, j) for j in range(cover.n + 1)] for g in space.groups]
     gates = []
     for box, w in cover.items:
-        forms = []
-        for l, part in enumerate(box.parts):
-            c = w % cover.mod.m if l == 0 else 1
-            forms.append(LinearForm({(space.groups[l], j): c for j in sorted(part)}))
+        coeffs = [w % cover.mod.m] + [1] * (cover.k - 1)
+        forms = [
+            LinearForm(dict.fromkeys(map(group.__getitem__, sorted(part)), c))
+            for group, part, c in zip(ids, box.parts, coeffs)
+        ]
         gates.append(Gate(forms, repetition=w))
     return SigmaPiSigmaCircuit(cover.mod, space, gates)
 
@@ -167,12 +172,48 @@ def naive_ordered_snk_circuit(n: int, k: int, mod: Modulus) -> SigmaPiSigmaCircu
     return SigmaPiSigmaCircuit(mod, space, gates)
 
 
+def _nonzero_multilinear(forms: list[dict[VarId, int]]) -> bool:
+    """False if an empty form zeroes the gate; a variable shared by two
+    forms before that point makes a product that is not multilinear."""
+    seen: set[VarId] = set()
+    for coeffs in forms:
+        if not coeffs:
+            return False
+        if not seen.isdisjoint(coeffs):
+            var = next(filter(seen.__contains__, coeffs))
+            raise ValueError(f"variable {var} repeats in a product: not multilinear")
+        seen.update(coeffs)
+    return True
+
+
+def _weighted_classes(forms: list[dict[VarId, int]], m: int) -> list:
+    """(weight mod m, one variable list per form) for each way to pick,
+    from every form, one class of variables with equal coefficient."""
+    lows = list(map(min, map(dict.values, forms)))
+    if lows == list(map(max, map(dict.values, forms))):  # one class per form
+        return [(math.prod(lows) % m, forms)]
+    splits = []
+    for coeffs in forms:
+        residues = list(map(m.__rmod__, coeffs.values()))
+        splits.append([
+            (r, list(itertools.compress(coeffs, map(r.__eq__, residues))))
+            for r in dict.fromkeys(residues)
+        ])
+    return [
+        (math.prod(coef for coef, _ in choice) % m, [part for _, part in choice])
+        for choice in itertools.product(*splits)
+    ]
+
+
 def expand_coefficients(
     c: SigmaPiSigmaCircuit, budget: int = 10_000_000
 ) -> CoefficientMap:
     """Exact symbolic expansion into a multilinear coefficient map.
 
-    Distributes each gate's forms, reduces mod m, and drops zeros.  The
+    Each gate's forms are split into classes of equal coefficient mod m;
+    one class per form contributes the product of its variable lists,
+    weighted by the product of its coefficients.  Monomials are counted
+    per weight and combined mod m at the end, dropping zeros.  The
     intermediate term count is bounded by the product of form supports
     per gate; if the total would exceed the budget, a resource error
     reports the gate count instead of grinding away.
@@ -188,23 +229,26 @@ def expand_coefficients(
             raise BudgetExceededError(
                 f"expansion of {len(c.gates)} gates exceeds {budget} terms"
             )
-    acc: dict[Monomial, int] = {}
+    counts: defaultdict[int, Counter[Monomial]] = defaultdict(Counter)
     for gate in c.gates:
-        partial: dict[Monomial, int] = {(): 1}
-        for form in gate.forms:
-            nxt: dict[Monomial, int] = {}
-            for mono, coef in partial.items():
-                for var, fc in form.coeffs.items():
-                    if var in mono:
-                        raise ValueError(
-                            f"variable {var} repeats in a product: not multilinear"
-                        )
-                    key = tuple(sorted(mono + (var,)))
-                    nxt[key] = (nxt.get(key, 0) + coef * fc) % m
-            partial = nxt
-        for mono, coef in partial.items():
-            acc[mono] = (acc.get(mono, 0) + coef) % m
-    return CoefficientMap(c.vars, {k: v for k, v in acc.items() if v != 0})
+        forms = [form.coeffs for form in gate.forms]
+        if not _nonzero_multilinear(forms):
+            continue
+        forms.sort(key=min)
+        flat = [*itertools.chain.from_iterable(forms)]
+        # while the forms' variables run in increasing order, so do the products'
+        in_order = all(map(operator.lt, flat, flat[1:]))
+        for weight, chosen in _weighted_classes(forms, m):
+            if weight:
+                monos = itertools.product(*chosen)
+                if not in_order:
+                    monos = map(tuple, map(sorted, monos))
+                counts[weight].update(monos)
+    acc: dict[Monomial, int] = {}
+    for weight, count in counts.items():
+        for mono, times in count.items():
+            acc[mono] = acc.get(mono, 0) + weight * times
+    return CoefficientMap(c.vars, {mono: v % m for mono, v in acc.items() if v % m})
 
 
 def evaluate_map(cmap: CoefficientMap, assignment: dict[VarId, int], m: int) -> int:

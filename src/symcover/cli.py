@@ -22,7 +22,7 @@ from .circuit import (
     from_coverkd,
     size,
 )
-from .astrong import check_astrong, target_coefficients
+from .astrong import MonomialWitness, check_astrong, target_coefficients
 from . import serialize
 from .serialize import SchemaError
 
@@ -31,6 +31,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 EXIT_UNSUPPORTED_MODULUS = 4
+
+WITNESS_LINES = 20  # failing cells or monomials printed by verify
 
 
 def _int_list(text: str) -> list[int]:
@@ -119,8 +121,20 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_capped(witnesses: list, line) -> None:
+    """The first WITNESS_LINES witnesses, one per line, then a count of the rest."""
+    for w in witnesses[:WITNESS_LINES]:
+        print(f"  {line(w)}")
+    if len(witnesses) > WITNESS_LINES:
+        print(f"  ... and {len(witnesses) - WITNESS_LINES} more")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    cover = serialize.cover_from_dict(serialize.load(args.input))
+    import hashlib  # OpenSSL-backed, so loaded only by the command that hashes
+
+    digest = hashlib.sha256()
+    cover = serialize.cover_from_dict(serialize.load(args.input, digest))
+    print(f"artifact: sha256 {digest.hexdigest()}")
     verify, to_circuit = _checks(cover.k)
     try:
         report = verify(cover)
@@ -130,10 +144,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ) from None
     circuit = to_circuit(cover)
     print(f"properties: {report.summary()}")
-    for v in report.violations[:20]:
-        print(f"  cell {v.cell}: {v.reason}")
-    if len(report.violations) > 20:
-        print(f"  ... and {len(report.violations) - 20} more")
+    _print_capped(report.violations, lambda v: f"cell {v.cell}: {v.reason}")
 
     astrong_ok = True
     try:
@@ -141,10 +152,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         target = target_coefficients(cover.n, cover.k, ordered=True)
         a_report = check_astrong(expansion, target, cover.mod)
         astrong_ok = a_report.ok
-        print(f"a-strong: {'pass' if a_report.ok else 'fail'} "
-              f"({a_report.checked} monomials)")
-        if not a_report.ok:
-            sys.stdout.write(a_report.text())
+        if a_report.ok:
+            print(f"a-strong: pass ({a_report.checked} monomials)")
+        else:
+            print(f"a-strong: fail ({len(a_report.violations)} of "
+                  f"{a_report.checked} monomials)")
+            _print_capped(a_report.violations, MonomialWitness.line)
     except BudgetExceededError as exc:
         print(f"a-strong: skipped ({exc}); cover-level check above is authoritative")
 

@@ -65,10 +65,11 @@ def cover_to_dict(cover: WeightedBoxCover) -> dict:
 
 def cover_from_dict(data: dict) -> WeightedBoxCover:
     """Read either cover kind, rejecting anything the checks could
-    misread: n < 2, n**k beyond any table's size, a part count other
-    than k, an index outside 1..n (it would alias into a neighbouring
-    cell) or repeated in its part (it would be judged as written once),
-    a weight outside 1..m-1, or stored factors that do not factor m."""
+    misread: n < 2, k outside 2..n, n**k beyond any table's size, a
+    part count other than k, an index outside 1..n (it would alias into
+    a neighbouring cell) or repeated in its part (it would be judged as
+    written once), a weight outside 1..m-1, or stored factors that do
+    not factor m."""
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {data['schema_version']}")
@@ -82,6 +83,8 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
         # n >= 2, so k >= 64 alone exceeds it, and no huge power is computed
         if k >= 64 or n**k > sys.maxsize:
             raise SchemaError(f"n**k = {n}**{k} cells is more than any table can hold")
+        if k > n:
+            raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
         mod = _mod_from(data)
         items = []
         for pos, d in enumerate(data["items"]):
@@ -151,8 +154,13 @@ def dump(data: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def load(path: str | Path) -> dict:
+def load(path: str | Path, digest=None) -> dict:
+    """Parse a JSON artifact; `digest` (a hashlib object), if given, is
+    updated with exactly the bytes that were parsed."""
+    raw = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(raw)
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {path}: {exc}") from exc

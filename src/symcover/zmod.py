@@ -9,6 +9,7 @@ form is the primary object, not the bare integer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +39,9 @@ class Modulus:
     def r(self) -> int:
         return len(self.factors)
 
-    @property
+    @functools.cached_property
     def prime_powers(self) -> tuple[int, ...]:
+        # kept in the instance __dict__, outside the fields that eq and hash read
         return tuple(p**e for p, e in self.factors)
 
     def residues(self, x: int) -> ResidueVector:

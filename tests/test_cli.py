@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -6,6 +7,8 @@ import pytest
 from symcover import serialize
 from symcover.cli import main
 from symcover.zmod import factorize
+from symcover.circuit import expand_coefficients, from_cover2d
+from symcover.astrong import check_astrong, target_coefficients
 
 
 def _build(tmp_path, *extra):
@@ -110,8 +113,10 @@ def _box_artifact(n, k, items):
         (_box_artifact(2, 64, []), "n**k = 2**64"),
         (_box_artifact(3, 3, [{"parts": [[1, 1], [2], [3]], "weight": 1}]),
          "repeats an index"),
+        # the check would print "properties: pass" and then fail on the target
+        (_box_artifact(2, 3, []), "k = 3 exceeds n = 2"),
     ],
-    ids=["k-64", "duplicate-index"],
+    ids=["k-64", "duplicate-index", "k-above-n"],
 )
 def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message):
     cover = tmp_path / "cover.json"
@@ -129,6 +134,43 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
     cover.write_text(json.dumps(_box_artifact(3, 3, [])))
     assert main(["verify", "--in", str(cover)]) == 2
     assert "n**k = 3**3" in capsys.readouterr().err
+
+
+def test_verify_prints_artifact_sha256(tmp_path, capsys):
+    cover = _build(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(cover)]) == 0
+    digest = hashlib.sha256(cover.read_bytes()).hexdigest()
+    assert capsys.readouterr().out.splitlines()[0] == f"artifact: sha256 {digest}"
+
+
+def test_verify_caps_witness_lines(tmp_path, capsys):
+    # every weight shifted by one: all 240 cells and all 240 monomials fail
+    cover = tmp_path / "cover.json"
+    assert main(["build", "--poly", "s2", "--n", "16", "--m", "35", "--out", str(cover)]) == 0
+    data = json.loads(cover.read_text())
+    for item in data["items"]:
+        item["weight"] += 1
+        assert item["weight"] < 35
+    cover.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(cover)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    astrong = next(i for i, line in enumerate(lines) if line.startswith("a-strong:"))
+    assert lines[astrong] == "a-strong: fail (240 of 240 monomials)"
+    assert lines[astrong + 1 :] == [
+        *(f"  {w.line()}" for w in _astrong_violations(cover)[:20]),
+        "  ... and 220 more",
+    ]
+    assert lines[astrong - 1] == "  ... and 220 more"
+    assert len(lines) == 2 + 21 + 1 + 21
+
+
+def _astrong_violations(path):
+    cover = serialize.cover_from_dict(serialize.load(path))
+    expansion = expand_coefficients(from_cover2d(cover))
+    target = target_coefficients(cover.n, 2, ordered=True)
+    return check_astrong(expansion, target, cover.mod).violations
 
 
 def test_build_determinism(tmp_path, capsys):

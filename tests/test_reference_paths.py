@@ -1,0 +1,227 @@
+"""The counting expansion and the tallying a-strong check against the
+plain distributive loops they replaced, kept here as reference
+implementations: same coefficient maps, same reports, same errors."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from symcover.zmod import astrong_coeff_status, factorize
+from symcover.cover2d import build_s2_cover
+from symcover.coverkd import build_sk_cover
+from symcover.circuit import (
+    CoefficientMap,
+    Gate,
+    LinearForm,
+    SigmaPiSigmaCircuit,
+    VariableSpace,
+    expand_coefficients,
+    from_cover2d,
+    from_coverkd,
+    group_names,
+    identify_variables_and_scale,
+)
+from symcover.astrong import (
+    AStrongReport,
+    MonomialWitness,
+    check_astrong,
+    target_coefficients,
+)
+
+MODULI = [factorize(m) for m in (6, 12, 35, 385)]
+
+
+def reference_expand(c):
+    """Distribute each gate's forms term by term, reducing mod m."""
+    m = c.mod.m
+    acc = {}
+    for gate in c.gates:
+        partial = {(): 1}
+        for form in gate.forms:
+            nxt = {}
+            for mono, coef in partial.items():
+                for var, fc in form.coeffs.items():
+                    if var in mono:
+                        raise ValueError(
+                            f"variable {var} repeats in a product: not multilinear"
+                        )
+                    key = tuple(sorted(mono + (var,)))
+                    nxt[key] = (nxt.get(key, 0) + coef * fc) % m
+            partial = nxt
+        for mono, coef in partial.items():
+            acc[mono] = (acc.get(mono, 0) + coef) % m
+    return CoefficientMap(c.vars, {k: v for k, v in acc.items() if v != 0})
+
+
+def reference_check(b, a, mod):
+    """Judge every monomial of the union of supports in sorted order."""
+    violations = []
+    support = set(a.coeffs) | set(b.coeffs)
+    for mono in sorted(support):
+        av = a.coeffs.get(mono, 0)
+        bv = b.coeffs.get(mono, 0)
+        ok, agree = astrong_coeff_status(av, bv, mod)
+        if not ok:
+            pairs = [(av % q, bv % q) for q in mod.prime_powers]
+            violations.append(MonomialWitness(mono, av, bv, pairs, agree))
+    return AStrongReport(not violations, violations, len(support))
+
+
+def outcome(fn, *args):
+    """The result, or the type of the error raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_same_expansion(c):
+    expected = outcome(reference_expand, c)
+    assert outcome(expand_coefficients, c) == expected
+    return expected
+
+
+GROUPS = st.sampled_from([("x",), ("x", "y"), ("y", "x"), ("x1", "x2", "x3")])
+
+
+@st.composite
+def circuits(draw, disjoint: bool):
+    """Gates of forms over a small variable space, listed in any order,
+    with mixed, zero and unreduced coefficients, empty forms and gates
+    with no forms.  With `disjoint`, no variable is shared within a gate,
+    but the forms' index ranges may interleave."""
+    groups = draw(GROUPS)
+    n = draw(st.integers(1, 4))
+    mod = draw(st.sampled_from(MODULI))
+    pool = [(g, i) for g in groups for i in range(1, n + 1)]
+    coef = st.integers(-mod.m, 2 * mod.m)
+    gates = []
+    for _ in range(draw(st.integers(0, 4))):
+        if disjoint:
+            order = draw(st.permutations(pool))
+            cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=3)))
+            spans = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(pool)])]
+            spans = [span for span in spans if span or draw(st.booleans())]
+        else:
+            spans = draw(st.lists(st.lists(st.sampled_from(pool), max_size=3), max_size=3))
+        forms = [LinearForm({var: draw(coef) for var in span}) for span in spans]
+        gates.append(Gate(forms, repetition=draw(st.integers(1, 3))))
+    return SigmaPiSigmaCircuit(mod, VariableSpace(groups, n), gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(disjoint=True))
+def test_expand_matches_reference_on_disjoint_forms(c):
+    assert assert_same_expansion(c) is not ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(disjoint=False))
+def test_expand_matches_reference_on_any_forms(c):
+    assert_same_expansion(c)
+
+
+def test_expand_edge_cases_match_reference():
+    space = VariableSpace(("y", "x"), 3)
+    x, y = (lambda i: ("x", i)), (lambda i: ("y", i))
+    cases = {
+        "groups out of order": [Gate([LinearForm({y(1): 2, y(3): 1}), LinearForm({x(2): 5})])],
+        "forms out of order": [Gate([LinearForm({y(2): 1}), LinearForm({x(3): 1, x(1): 4})])],
+        "mixed and zero coefficients": [
+            Gate([LinearForm({x(1): 0, x(2): 3, x(3): 6}), LinearForm({y(1): 2, y(2): 7})])
+        ],
+        "empty form": [Gate([LinearForm({x(1): 1}), LinearForm({})]), Gate([LinearForm({x(2): 1})])],
+        "gate with no forms": [Gate([]), Gate([]), Gate([LinearForm({x(1): 1})])],
+        "shared after an empty form": [
+            Gate([LinearForm({x(1): 1}), LinearForm({}), LinearForm({x(1): 1})])
+        ],
+        "all coefficients cancel": [
+            Gate([LinearForm({x(1): 1}), LinearForm({y(1): 1})]),
+            Gate([LinearForm({x(1): 5}), LinearForm({y(1): 1})]),
+        ],
+    }
+    for name, gates in cases.items():
+        c = SigmaPiSigmaCircuit(MODULI[0], space, gates)
+        assert assert_same_expansion(c) is not ValueError, name
+
+
+def test_expand_rejects_a_variable_shared_by_two_forms():
+    space = VariableSpace(("x", "y"), 3)
+    shared = [
+        Gate([LinearForm({("x", 1): 1, ("x", 2): 1}), LinearForm({("x", 2): 0})]),
+        Gate([LinearForm({("y", 1): 1}), LinearForm({("x", 3): 1}), LinearForm({("y", 1): 2})]),
+    ]
+    for gate in shared:
+        c = SigmaPiSigmaCircuit(MODULI[0], space, [gate])
+        with pytest.raises(ValueError, match="not multilinear"):
+            reference_expand(c)
+        with pytest.raises(ValueError, match="not multilinear"):
+            expand_coefficients(c)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        lambda: from_cover2d(build_s2_cover(16, factorize(35))),
+        lambda: from_coverkd(build_sk_cover(7, 3, factorize(35), seed=3)),
+        lambda: identify_variables_and_scale(
+            from_cover2d(build_s2_cover(12, factorize(35))), factorize(35)
+        ),
+        lambda: identify_variables_and_scale(
+            from_coverkd(build_sk_cover(7, 3, factorize(385), seed=1)), factorize(385)
+        ),
+    ],
+    ids=["s2", "sk", "s2-identified", "sk-identified"],
+)
+def test_expand_matches_reference_on_cover_circuits(circuit):
+    c = circuit()
+    assert assert_same_expansion(c) is not ValueError
+
+
+MONOS = st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True).map(
+    lambda idx: tuple(("x", i) for i in sorted(idx))
+)
+
+
+@st.composite
+def map_pairs(draw):
+    """A target and a candidate over one space, with monomials present
+    only in b, only in a, and stored zero coefficients on either side."""
+    space = VariableSpace(("x",), 4)
+    mod = draw(st.sampled_from(MODULI))
+    values = st.integers(0, 2 * mod.m)
+    a = draw(st.dictionaries(MONOS, st.integers(0, 2), max_size=8))
+    b = {mono: draw(values) for mono in a if draw(st.booleans())}
+    b.update(draw(st.dictionaries(MONOS, values, max_size=4)))
+    return CoefficientMap(space, b), CoefficientMap(space, a), mod
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_pairs())
+def test_check_matches_reference(case):
+    assert check_astrong(*case) == reference_check(*case)
+
+
+def test_check_matches_reference_on_cover_expansions():
+    mod = factorize(35)
+    cover = build_s2_cover(24, mod)
+    good = expand_coefficients(from_cover2d(cover))
+    shifted = CoefficientMap(good.vars, {mono: v + 1 for mono, v in good.coeffs.items()})
+    shifted.coeffs[(("x", 1), ("x", 2))] = 5  # stray, and not of the target's shape
+    target = target_coefficients(24, 2, ordered=True)
+    for b in (good, shifted):
+        assert check_astrong(b, target, mod) == reference_check(b, target, mod)
+
+
+def test_ordered_target_is_its_definition():
+    for n in range(1, 7):
+        for k in range(1, min(n, 4) + 1):
+            groups = group_names(k)
+            expected = {
+                tuple(sorted(zip(groups, tup))): 1
+                for tup in itertools.permutations(range(1, n + 1), k)
+            }
+            got = target_coefficients(n, k, ordered=True)
+            assert got.vars == VariableSpace(groups, n)
+            assert got.coeffs == expected

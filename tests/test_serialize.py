@@ -97,6 +97,7 @@ def _box():
         (_rect, ["n"], "4", "n must be"),
         (_box, ["k"], 1, "k = 1"),
         (_rect, ["k"], 3, "rect cover cannot have k = 3"),
+        (_box, ["k"], 7, "k = 7 exceeds n = 6"),
         (_box, ["items", 0, "parts"], [[1], [2]], "2 parts, k = 3"),
         (_rect, ["items", 0, "parts", 0], [0], "outside 1..4"),
         (_rect, ["items", 0, "parts", 1], [5], "outside 1..4"),
@@ -110,7 +111,7 @@ def _box():
         (_rect, ["m"], True, "modulus must be"),
     ],
     ids=[
-        "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "part-count",
+        "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "k-above-n", "part-count",
         "index-0", "index-n-plus-1", "index-not-int", "index-repeated", "weight-0",
         "weight-m", "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
     ],

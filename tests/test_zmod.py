@@ -120,3 +120,18 @@ def test_astrong_zero_target_forces_zero():
 
 def test_modulus_str():
     assert str(factorize(12)) == "12 = 2^2*3"
+
+
+def test_cached_prime_powers_keep_value_semantics():
+    a, b = factorize(360), factorize(360)
+    assert a.prime_powers == (8, 9, 5)
+    assert a.prime_powers is a.prime_powers  # computed once per instance
+    # a now holds the cached tuple and b does not: still equal, same hash
+    assert a == b == Modulus(360, ((2, 3), (3, 2), (5, 1)))
+    assert hash(a) == hash(b) == hash(Modulus(360, ((2, 3), (3, 2), (5, 1))))
+    assert {a: "m"}[b] == "m"
+    assert a != factorize(180) and a != Modulus(360, ((2, 3), (3, 2)))
+    for x in range(-400, 800, 7):
+        assert a.residues(x) == b.residues(x) == [x % 8, x % 9, x % 5]
+    with pytest.raises(AttributeError):
+        a.m = 6
