@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
@@ -205,6 +206,14 @@ def _weighted_classes(forms: list[dict[VarId, int]], m: int) -> list:
     ]
 
 
+def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> None:
+    """Raise BudgetExceededError when an expansion's term count, the sum
+    over gates of the product of their form sizes, exceeds the budget.
+    A cover's gates have one form per part, of the part's size."""
+    if sum(map(math.prod, sizes)) > budget:
+        raise BudgetExceededError(f"expansion of {gates} gates exceeds {budget} terms")
+
+
 def expand_coefficients(
     c: SigmaPiSigmaCircuit, budget: int = 10_000_000
 ) -> CoefficientMap:
@@ -219,16 +228,7 @@ def expand_coefficients(
     reports the gate count instead of grinding away.
     """
     m = c.mod.m
-    estimate = 0
-    for gate in c.gates:
-        terms = 1
-        for form in gate.forms:
-            terms *= len(form.coeffs)
-        estimate += terms
-        if estimate > budget:
-            raise BudgetExceededError(
-                f"expansion of {len(c.gates)} gates exceeds {budget} terms"
-            )
+    require_budget(([len(f.coeffs) for f in g.forms] for g in c.gates), len(c.gates), budget)
     counts: defaultdict[int, Counter[Monomial]] = defaultdict(Counter)
     for gate in c.gates:
         forms = [form.coeffs for form in gate.forms]

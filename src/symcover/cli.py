@@ -20,6 +20,7 @@ from .circuit import (
     expand_coefficients,
     from_cover2d,
     from_coverkd,
+    require_budget,
     size,
 )
 from .astrong import MonomialWitness, check_astrong, target_coefficients
@@ -142,13 +143,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(
             f"not enough memory for the check's n**k = {cover.n}**{cover.k} counts"
         ) from None
-    circuit = to_circuit(cover)
     print(f"properties: {report.summary()}")
     _print_capped(report.violations, lambda v: f"cell {v.cell}: {v.reason}")
 
     astrong_ok = True
     try:
-        expansion = expand_coefficients(circuit, budget=args.expansion_budget)
+        # the budget is judged on the cover, so an over-budget circuit is never built
+        parts = (map(len, box.parts) for box, _ in cover.items)
+        require_budget(parts, len(cover.items), args.expansion_budget)
+        expansion = expand_coefficients(to_circuit(cover), budget=args.expansion_budget)
         target = target_coefficients(cover.n, cover.k, ordered=True)
         a_report = check_astrong(expansion, target, cover.mod)
         astrong_ok = a_report.ok

@@ -108,7 +108,7 @@ def multiplicity(cover: WeightedBoxCover, i: int, j: int) -> int:
 
 def multiplicity_table(cover: WeightedBoxCover) -> list[list[int]]:
     """All n*n multiplicities at once (row-major, 0-indexed)."""
-    counts = _counts(cover)
+    counts = _counts(cover).tolist()
     if cover.mod:
         counts = list(map(cover.mod.m.__rmod__, counts))
     n = cover.n

@@ -21,10 +21,13 @@ builds its rectangles on them.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
 import random
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .zmod import Modulus, astrong_coeff_status
@@ -335,19 +338,40 @@ def transform_boxes(cover: WeightedBoxCover, f: SymmetricPolynomial) -> Weighted
     return _transform(cover, f)
 
 
-def _counts(cover: WeightedBoxCover) -> list[int]:
+def _counts(cover: WeightedBoxCover) -> array.array:
     """Raw weighted counts of all n**k cells, flat and row-major: cell
-    (j_1, ..., j_k) sits at index sum of (j_l - 1) * n**(k - l)."""
-    n = cover.n
-    counts = [0] * n**cover.k
+    (j_1, ..., j_k) sits at index sum of (j_l - 1) * n**(k - l).
+
+    Each row (j_1, ..., j_{k-1}) is one int of n fixed-width fields, wide
+    enough for the sum of all weights, so no field carries into the next.
+    An item's last part is packed with its weight in every member field;
+    the packed parts of items with equal first k - 1 parts are summed, and
+    the sum is added to each row those parts span."""
+    n, k = cover.n, cover.k
+    total = sum(w for _, w in cover.items)
+    width = next((b for b in (1, 2, 4, 8) if total < 1 << 8 * b), None)
+    if width is None:
+        raise ValueError(f"weights summing to {total} overflow a 64-bit count")
+    packed: dict[tuple[frozenset[int], int], int] = {}
+    by_heads: defaultdict[tuple[frozenset[int], ...], int] = defaultdict(int)
     for box, w in cover.items:
+        key = (box.parts[-1], w)
+        if key not in packed:
+            fields = bytearray(n * width)
+            fields[::width] = bytes(map(key[0].__contains__, range(1, n + 1)))
+            packed[key] = int.from_bytes(fields, "little") * w
+        by_heads[box.parts[:-1]] += packed[key]
+    rows = [0] * n ** (k - 1)
+    for heads, add in by_heads.items():
         bases = [0]
-        for part in box.parts[:-1]:
-            bases = [(b + j - 1) * n for b in bases for j in part]
-        last = [j - 1 for j in box.parts[-1]]
+        for part in heads:
+            bases = [b * n + j - 1 for b in bases for j in part]
         for b in bases:
-            for j in last:
-                counts[b + j] += w
+            rows[b] += add
+    counts = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
+    counts.frombytes(b"".join(r.to_bytes(n * width, "little") for r in rows))
+    if sys.byteorder == "big":
+        counts.byteswap()
     return counts
 
 
@@ -372,26 +396,35 @@ def _repeated_cells(n: int, k: int) -> set[int]:
 def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
     """Exhaustive check of all n**k cells: repeated-index tuples must
     count 0 mod m, distinct-index tuples must carry the unit-pattern
-    property.  Verdicts are computed once per count that occurs, and only
-    cells failing the unit pattern or having a repeated index are looked
-    at one by one."""
+    property.  Verdicts are computed once per count that occurs.  The
+    repeated-index cells are judged one by one; the other cells are
+    looked at one by one only when a count failing the unit pattern
+    occurs among them."""
     if cover.mod is None:
         raise ValueError("cover has no modulus to verify against")
     mod, n, k = cover.mod, cover.n, cover.k
     counts = _counts(cover)
-    bad = {
-        target: {c: not astrong_coeff_status(target, c, mod)[0] for c in set(counts)}
-        for target in (0, 1)
-    }
-    suspects = _repeated_cells(n, k)
-    suspects.update(itertools.compress(range(len(counts)), map(bad[1].__getitem__, counts)))
+    repeated = {i: counts[i] for i in _repeated_cells(n, k)}
+    for i in repeated:
+        counts[i] = 1  # a unit-pattern count: only distinct-index cells can fail below
+    bad0, bad1 = (
+        {c for c in values if not astrong_coeff_status(target, c, mod)[0]}
+        for target, values in ((0, set(repeated.values())), (1, set(counts)))
+    )
+    failing = {i: (c, 0) for i, c in repeated.items() if c in bad0}
+    if bad1:
+        cells = itertools.compress(itertools.count(), map(bad1.__contains__, counts))
+        failing.update((i, (counts[i], 1)) for i in cells)
+    reasons: dict[tuple[int, int], str] = {}
     violations = []
-    for i in sorted(suspects):
-        cell, d = _cell(i, n, k), counts[i] % mod.m
-        target = int(len(set(cell)) == k)
-        if bad[target][counts[i]]:
-            reason = f"count {d} has residues {mod.residues(d)} per {mod}, target {target}"
-            violations.append(CellViolation(cell, d, reason))
+    for i in sorted(failing):
+        c, target = failing[i]
+        d = c % mod.m
+        if (d, target) not in reasons:
+            reasons[d, target] = (
+                f"count {d} has residues {mod.residues(d)} per {mod}, target {target}"
+            )
+        violations.append(CellViolation(_cell(i, n, k), d, reasons[d, target]))
     return PropertyReport(not violations, violations, len(counts))
 
 

@@ -68,8 +68,9 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
     misread: n < 2, k outside 2..n, n**k beyond any table's size, a
     part count other than k, an index outside 1..n (it would alias into
     a neighbouring cell) or repeated in its part (it would be judged as
-    written once), a weight outside 1..m-1, or stored factors that do
-    not factor m."""
+    written once), a weight outside 1..m-1, weights summing to 2**64 or
+    more (a cell count would overflow the check's widest field), or
+    stored factors that do not factor m."""
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {data['schema_version']}")
@@ -103,6 +104,10 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
                 if len(part) != len(p):
                     raise SchemaError(f"item {pos} repeats an index in part {p}")
             items.append((box, w))
+        # the check counts cells in fields of at most 64 bits
+        total = sum(w for _, w in items)
+        if total >= 2**64:
+            raise SchemaError(f"weights sum to {total} >= 2**64: a cell count could overflow")
         return WeightedBoxCover(n, k, mod, items, data.get("meta", {}))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed cover artifact: {exc}") from exc

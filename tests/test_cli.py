@@ -115,8 +115,12 @@ def _box_artifact(n, k, items):
          "repeats an index"),
         # the check would print "properties: pass" and then fail on the target
         (_box_artifact(2, 3, []), "k = 3 exceeds n = 2"),
+        # a cell count of 2**64 would wrap in the check's widest field
+        (dict(_box_artifact(3, 3, [{"parts": [[1], [2], [3]], "weight": 2**64}]),
+              m=3 * 2**65, factors=[[2, 65], [3, 1]]),
+         ">= 2**64"),
     ],
-    ids=["k-64", "duplicate-index", "k-above-n"],
+    ids=["k-64", "duplicate-index", "k-above-n", "weights-beyond-count-field"],
 )
 def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message):
     cover = tmp_path / "cover.json"
@@ -134,6 +138,21 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
     cover.write_text(json.dumps(_box_artifact(3, 3, [])))
     assert main(["verify", "--in", str(cover)]) == 2
     assert "n**k = 3**3" in capsys.readouterr().err
+
+
+def test_verify_skips_expansion_without_building_the_circuit(tmp_path, capsys, monkeypatch):
+    def no_circuit(cover):
+        raise AssertionError("an over-budget circuit was built")
+
+    cover = _build(tmp_path)
+    monkeypatch.setattr("symcover.cli.from_cover2d", no_circuit)
+    gates = len(json.loads(cover.read_text())["items"])
+    capsys.readouterr()
+    assert main(["verify", "--in", str(cover), "--expansion-budget", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"a-strong: skipped (expansion of {gates} gates exceeds 0 terms); "
+        "cover-level check above is authoritative"
+    )
 
 
 def test_verify_prints_artifact_sha256(tmp_path, capsys):

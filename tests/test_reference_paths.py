@@ -1,6 +1,7 @@
-"""The counting expansion and the tallying a-strong check against the
-plain distributive loops they replaced, kept here as reference
-implementations: same coefficient maps, same reports, same errors."""
+"""The counting expansion, the tallying a-strong check, the packed-row
+cell counts and the value-count property check against the plain loops
+they replaced, kept here as reference implementations: same coefficient
+maps, same counts, same reports, same errors."""
 
 import itertools
 
@@ -8,8 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symcover.zmod import astrong_coeff_status, factorize
-from symcover.cover2d import build_s2_cover
-from symcover.coverkd import build_sk_cover
+from symcover.cover2d import build_s2_cover, multiplicity_table
+from symcover.coverkd import (
+    Box,
+    CellViolation,
+    PropertyReport,
+    WeightedBoxCover,
+    _cell,
+    _check_properties,
+    _counts,
+    _repeated_cells,
+    box_multiplicity_table,
+    build_sk_cover,
+)
 from symcover.circuit import (
     CoefficientMap,
     Gate,
@@ -225,3 +237,127 @@ def test_ordered_target_is_its_definition():
             got = target_coefficients(n, k, ordered=True)
             assert got.vars == VariableSpace(groups, n)
             assert got.coeffs == expected
+
+
+def reference_counts(cover):
+    """Add every box cell by cell into a flat row-major list."""
+    n = cover.n
+    counts = [0] * n**cover.k
+    for box, w in cover.items:
+        bases = [0]
+        for part in box.parts[:-1]:
+            bases = [(b + j - 1) * n for b in bases for j in part]
+        last = [j - 1 for j in box.parts[-1]]
+        for b in bases:
+            for j in last:
+                counts[b + j] += w
+    return counts
+
+
+def reference_check_properties(cover):
+    """Judge the repeated-index cells and every cell whose count fails
+    the unit pattern one by one, in flat order."""
+    mod, n, k = cover.mod, cover.n, cover.k
+    counts = reference_counts(cover)
+    bad = {
+        target: {c: not astrong_coeff_status(target, c, mod)[0] for c in set(counts)}
+        for target in (0, 1)
+    }
+    suspects = _repeated_cells(n, k)
+    suspects.update(itertools.compress(range(len(counts)), map(bad[1].__getitem__, counts)))
+    violations = []
+    for i in sorted(suspects):
+        cell, d = _cell(i, n, k), counts[i] % mod.m
+        target = int(len(set(cell)) == k)
+        if bad[target][counts[i]]:
+            reason = f"count {d} has residues {mod.residues(d)} per {mod}, target {target}"
+            violations.append(CellViolation(cell, d, reason))
+    return PropertyReport(not violations, violations, len(counts))
+
+
+def assert_same_counts_and_report(cover):
+    expected = reference_counts(cover)
+    assert _counts(cover).tolist() == expected
+    assert _check_properties(cover) == reference_check_properties(cover)
+    m = cover.mod.m
+    table = {_cell(i, cover.n, cover.k): c % m for i, c in enumerate(expected) if c}
+    assert box_multiplicity_table(cover) == table
+    if cover.k == 2:
+        n = cover.n
+        rows = [[c % m for c in expected[r * n : (r + 1) * n]] for r in range(n)]
+        assert multiplicity_table(cover) == rows
+
+
+@st.composite
+def box_covers(draw):
+    """Covers of any boxes, empty parts included, with weights anywhere
+    in 1..m-1."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, 7))
+    mod = factorize(draw(st.sampled_from([6, 35, 385])))
+    part = st.frozensets(st.integers(1, n))
+    items = draw(st.lists(
+        st.tuples(st.tuples(*[part] * k).map(Box), st.integers(1, mod.m - 1)),
+        max_size=12,
+    ))
+    return WeightedBoxCover(n, k, mod, items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_covers())
+def test_counts_and_check_match_reference(cover):
+    assert_same_counts_and_report(cover)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("total", [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32])
+def test_counts_match_reference_at_every_field_width(k, total):
+    # every cell counts total - 1, except (1, ..., 1), which counts total
+    n = 3
+    mod = factorize(6 * 2**32 if total > 2**16 else 385)
+    full = Box((frozenset(range(1, n + 1)),) * k)
+    weights = [mod.m - 1] * ((total - 1) // (mod.m - 1))
+    weights.append(total - 1 - sum(weights))
+    items = [(full, w) for w in weights if w] + [(Box((frozenset({1}),) * k), 1)]
+    cover = WeightedBoxCover(n, k, mod, items)
+    assert _counts(cover).itemsize == next(b for b in (1, 2, 4, 8) if total < 256**b)
+    assert_same_counts_and_report(cover)
+
+
+def test_counts_reject_a_weight_sum_beyond_64_bits():
+    mod = factorize(6 * 2**64)
+    cover = WeightedBoxCover(2, 2, mod, [(Box((frozenset({1}), frozenset({2}))), 2**64)])
+    with pytest.raises(ValueError, match="64-bit"):
+        _counts(cover)
+
+
+def test_a_failing_count_on_repeated_and_distinct_cells_is_found():
+    # 0 sits on the diagonal cells (1, 1) and (3, 3) and on (1, 2); 2 sits
+    # on (2, 2) and (2, 1): each count also held by a repeated-index cell
+    mod = factorize(6)
+    rect = lambda rows, cols: Box((frozenset(rows), frozenset(cols)))
+    items = [
+        (rect({1}, {3}), 1), (rect({2}, {1, 3}), 1), (rect({3}, {1, 2}), 1),
+        (rect({2}, {2}), 2), (rect({2}, {1}), 1),
+    ]
+    cover = WeightedBoxCover(3, 2, mod, items)
+    report = _check_properties(cover)
+    found = [(v.cell, v.count) for v in report.violations]
+    assert found == [((1, 2), 0), ((2, 1), 2), ((2, 2), 2)]
+    assert_same_counts_and_report(cover)
+    fixed = WeightedBoxCover(3, 2, mod, items[:3] + [(rect({1}, {2}), 1)])
+    assert _check_properties(fixed).ok
+    assert_same_counts_and_report(fixed)
+
+
+@pytest.mark.parametrize("m", [6, 35])
+def test_check_matches_reference_on_s2_covers(m):
+    mod = factorize(m)
+    for n in [*range(2, 65), 128, 255, 256, 257]:
+        cover = build_s2_cover(n, mod)
+        dropped = WeightedBoxCover(n, 2, mod, cover.items[1:])
+        for case in (cover, dropped):
+            expected = reference_check_properties(case)
+            assert _check_properties(case) == expected, n
+            assert _counts(case).tolist() == reference_counts(case), n
+        assert expected.ok is False and reference_check_properties(cover).ok, n

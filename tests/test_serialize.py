@@ -90,6 +90,10 @@ def _box():
     return serialize.cover_to_dict(build_sk_cover(6, 3, M35, seed=1))
 
 
+def _huge_m():
+    return dict(_rect(), m=6 * 2**64, factors=[[2, 65], [3, 1]])
+
+
 @pytest.mark.parametrize(
     "make, path, value, message",
     [
@@ -109,11 +113,13 @@ def _box():
         (_rect, ["m"], 30, "do not factor m = 30"),
         (_box, ["factors"], [[5, 1], [7, 1], [1, 1]], "do not factor m = 35"),
         (_rect, ["m"], True, "modulus must be"),
+        (_huge_m, ["items", 0, "weight"], 2**64, r">= 2\*\*64"),
     ],
     ids=[
         "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "k-above-n", "part-count",
         "index-0", "index-n-plus-1", "index-not-int", "index-repeated", "weight-0",
         "weight-m", "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
+        "weights-beyond-count-field",
     ],
 )
 def test_reader_rejects_malformed_fields(make, path, value, message):
