@@ -104,15 +104,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         )
     _, to_circuit = _checks(cover.k)
     circuit = to_circuit(cover)
-    cover.meta.setdefault("seed", args.seed)
-
-    serialize.dump(serialize.cover_to_dict(cover), args.out)
+    s = size(circuit)
     written = [args.out]
     if args.circuit_out:
         serialize.dump(serialize.circuit_to_dict(circuit), args.circuit_out)
         written.append(args.circuit_out)
+    del circuit  # freed before the cover's text is written
 
-    s = size(circuit)
+    cover.meta.setdefault("seed", args.seed)
+    serialize.dump(serialize.cover_to_dict(cover), args.out)
     print(f"wrote {', '.join(written)}")
     print(
         f"items={len(cover.items)} bbr_degree={cover.meta['bbr_degree']} "

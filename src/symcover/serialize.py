@@ -4,13 +4,16 @@ One self-describing schema for covers of every k: the file carries the
 modulus with its factorization and the construction metadata, so a
 verifier never has to re-derive parameters from flags.  Dumping is
 deterministic (sorted keys, sorted index lists, fixed indentation):
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files, exactly the bytes of
+`json.dumps(data, sort_keys=True, indent=2)` and a newline.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .zmod import Modulus, factorize
@@ -46,9 +49,11 @@ def _mod_from(data: dict) -> Modulus:
 
 
 def cover_to_dict(cover: WeightedBoxCover) -> dict:
-    """kind "rect" for k = 2 covers, "box" otherwise."""
+    """kind "rect" for k = 2 covers, "box" otherwise.  Equal parts share
+    one sorted index list, so the writer can reuse its text."""
     if cover.mod is None:
         raise ValueError("only covers with a modulus are serialized")
+    sort = functools.cache(sorted)  # the memo dies with this call
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "rect" if cover.k == 2 else "box",
@@ -56,7 +61,7 @@ def cover_to_dict(cover: WeightedBoxCover) -> dict:
         "k": cover.k,
         **_mod_fields(cover.mod),
         "items": [
-            {"parts": [sorted(p) for p in box.parts], "weight": w}
+            {"parts": [*map(sort, box.parts)], "weight": w}
             for box, w in cover.items
         ],
         "meta": cover.meta,
@@ -88,22 +93,26 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
             raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
         mod = _mod_from(data)
         items = []
+        # one frozenset per distinct part, shared by every item that names it;
+        # only its first occurrence is range-checked
+        checked: dict[frozenset[int], frozenset[int]] = {}
         for pos, d in enumerate(data["items"]):
             parts, w = d["parts"], d["weight"]
             if len(parts) != k:
                 raise SchemaError(f"item {pos} has {len(parts)} parts, k = {k}")
             if type(w) is not int or not 1 <= w < mod.m:
                 raise SchemaError(f"item {pos} weight {w!r} is not in 1..{mod.m - 1}")
-            box = Box(tuple(frozenset(p) for p in parts))
-            for p, part in zip(parts, box.parts):
-                if not (
-                    {*map(type, p)} <= {int}
-                    and (not part or 1 <= min(part) and max(part) <= n)
-                ):
+            sets = [*map(frozenset, parts)]
+            for i, (p, part) in enumerate(zip(parts, sets)):
+                # before the lookup: frozenset({True}) == frozenset({1})
+                if not {*map(type, p)} <= {int}:
+                    raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
+                sets[i] = shared = checked.setdefault(part, part)
+                if shared is part and part and not (1 <= min(part) and max(part) <= n):
                     raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
                 if len(part) != len(p):
                     raise SchemaError(f"item {pos} repeats an index in part {p}")
-            items.append((box, w))
+            items.append((Box(tuple(sets)), w))
         # the check counts cells in fields of at most 64 bits
         total = sum(w for _, w in items)
         if total >= 2**64:
@@ -134,29 +143,128 @@ def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:
 
 
 def circuit_from_dict(data: dict) -> SigmaPiSigmaCircuit:
+    """Read a circuit, rejecting n < 2, groups that are not distinct
+    strings, a group not in groups, an index outside 1..n, a coefficient
+    outside 0..m-1, a repetition below 1, a variable repeated within one
+    form (a dict would merge it), or stored factors that do not factor m.
+    A variable shared by two forms of a gate is left to
+    `expand_coefficients`, which rejects it as not multilinear."""
     try:
         if data["schema_version"] != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {data['schema_version']}")
         if data["kind"] != "circuit":
             raise SchemaError(f"not a circuit artifact: kind {data['kind']!r}")
         mod = _mod_from(data)
-        space = VariableSpace(tuple(data["groups"]), data["n"])
+        n, groups = data["n"], data["groups"]
+        if type(n) is not int or n < 2:
+            raise SchemaError(f"n must be an integer >= 2, got {n!r}")
+        if type(groups) is not list or not {*map(type, groups)} <= {str} or (
+            len(set(groups)) != len(groups)
+        ):
+            raise SchemaError(f"groups must be a list of distinct strings, got {groups!r}")
+        known = set(groups)
         gates = []
-        for g in data["gates"]:
-            forms = [
-                LinearForm({(grp, idx): coef for grp, idx, coef in triples})
-                for triples in g["forms"]
-            ]
-            gates.append(Gate(forms, repetition=g["repetition"]))
-        return SigmaPiSigmaCircuit(mod, space, gates)
+        for pos, g in enumerate(data["gates"]):
+            rep = g["repetition"]
+            if type(rep) is not int or rep < 1:
+                raise SchemaError(f"gate {pos} repetition {rep!r} is not an integer >= 1")
+            forms = []
+            for triples in g["forms"]:
+                coeffs: dict[tuple[str, int], int] = {}
+                for grp, idx, coef in triples:
+                    if grp not in known:
+                        raise SchemaError(f"gate {pos} names group {grp!r}, not in {groups}")
+                    if type(idx) is not int or not 1 <= idx <= n:
+                        raise SchemaError(f"gate {pos} has an index outside 1..{n}: {idx!r}")
+                    if type(coef) is not int or not 0 <= coef < mod.m:
+                        raise SchemaError(
+                            f"gate {pos} coefficient {coef!r} is not in 0..{mod.m - 1}"
+                        )
+                    coeffs[grp, idx] = coef
+                if len(coeffs) != len(triples):
+                    raise SchemaError(f"gate {pos} repeats a variable within one form")
+                forms.append(LinearForm(coeffs))
+            gates.append(Gate(forms, repetition=rep))
+        return SigmaPiSigmaCircuit(mod, VariableSpace(tuple(groups), n), gates)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"malformed circuit artifact: {exc}") from exc
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _scalar(value) -> str:
+    """json.dumps(value), with an int's and a str's text made directly."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _members(value, inner: str) -> tuple[list[str], list, str]:
+    """A non-empty dict's or list's members in order, keys sorted, each
+    with the text that leads it (the opening bracket or a comma, the
+    indent, the key), and the closing bracket."""
+    if isinstance(value, dict):
+        if {*map(type, value)} != {str}:
+            raise TypeError(f"artifact keys must be str, got {[*value]!r}")
+        keys = sorted(value)
+        heads = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
+        heads[0] = "{" + heads[0][1:]
+        return heads, [*map(value.__getitem__, keys)], "}"
+    heads = [f",\n{inner}"] * len(value)
+    heads[0] = "[" + heads[0][1:]
+    return heads, value, "]"
+
+
+def _text(value, indent: str, memo: dict) -> str:
+    """The whole text of `value` nested at `indent`.  A list of scalars is
+    joined at C speed.  Covers share equal parts, so `memo` marks each int
+    list by (id, indent) when first seen and keeps its text from the
+    second sighting on; a member found there is not encoded again."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    inner = indent + "  "
+    if not isinstance(value, dict):
+        types = {*map(type, value)}
+        if types <= _SCALARS:
+            ints = types == {int}
+            body = f",\n{inner}".join(map(str if ints else _scalar, value))
+            text = f"[\n{inner}{body}\n{indent}]"
+            if ints:
+                key = (id(value), indent)
+                memo[key] = text if key in memo else None
+            return text
+    heads, values, close = _members(value, inner)
+    texts = [memo.get((id(item), inner)) or _text(item, inner, memo) for item in values]
+    return f"{''.join(map(str.__add__, heads, texts))}\n{indent}{close}"
+
+
+def _pieces(value, indent: str, memo: dict, depth: int):
+    """The text of `value` in pieces: containers are streamed a member at
+    a time down `depth` levels, and each member below is one piece."""
+    if not depth or not value or not isinstance(value, (dict, list, tuple)):
+        yield _text(value, indent, memo)
+        return
+    inner = indent + "  "
+    heads, values, close = _members(value, inner)
+    for head, item in zip(heads, values):
+        yield head
+        yield from _pieces(item, inner, memo, depth - 1)
+    yield f"\n{indent}{close}"
+
+
 def dump(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    """Write exactly `json.dumps(data, sort_keys=True, indent=2)` and a
+    newline.  An artifact is a dict of fields and lists of records (items,
+    gates, edges), streamed one record at a time, so its whole text is
+    never held at once.  Keys must be str."""
+    with open(path, "w") as fh:
+        fh.writelines(_pieces(data, "", {}, 2))
+        fh.write("\n")
 
 
 def load(path: str | Path, digest=None) -> dict:

@@ -277,7 +277,9 @@ def _check_export_dot_counts(work, n, poly):
             count = edge_counts.get((i, j), 0)
             assert count % 3 == 1 or count % 5 == 1, (i, j, count)
 
-    manifest = json.loads((out_dir / "manifest.json").read_text())
+    raw = (out_dir / "manifest.json").read_text()
+    manifest = json.loads(raw)
+    assert raw == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     assert manifest["graphs"] == graphs
     by_edge = {tuple(e["edge"]): e for e in manifest["edges"]}
     for edge, count in edge_counts.items():

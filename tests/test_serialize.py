@@ -2,12 +2,21 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from symcover.cli import main
 from symcover.zmod import factorize
 from symcover.cover2d import build_s2_cover
 from symcover.coverkd import build_sk_cover
-from symcover.circuit import from_cover2d, from_coverkd, evaluate
+from symcover.circuit import (
+    expand_coefficients,
+    from_cover2d,
+    from_coverkd,
+    evaluate,
+    identify_variables_and_scale,
+    naive_ordered_snk_circuit,
+    naive_snk_circuit,
+)
 from symcover import serialize
 from symcover.serialize import SchemaError
 
@@ -32,17 +41,28 @@ def test_box_cover_round_trip(tmp_path):
     loaded = serialize.cover_from_dict(data)
     assert loaded.k == 3
     assert loaded.items == cover.items
+    # equal parts share one sorted list when written and one frozenset when read
+    written = [p for item in data["items"] for p in item["parts"]]
+    read = [p for box, _ in loaded.items for p in box.parts]
+    distinct = len(set(read))
+    assert distinct < len(read)
+    assert len(set(map(id, written))) == len(set(map(id, read))) == distinct
 
 
 def test_circuit_round_trip():
-    circuit = from_coverkd(build_sk_cover(6, 2, M6, seed=4))
-    data = serialize.circuit_to_dict(circuit)
-    loaded = serialize.circuit_from_dict(data)
-    assert loaded.vars == circuit.vars
-    assert loaded.mod == circuit.mod
-    assert len(loaded.gates) == len(circuit.gates)
-    point = {var: 1 for var in circuit.vars.ids()}
-    assert evaluate(loaded, point) == evaluate(circuit, point)
+    # every kind of circuit the program builds reads back equal
+    for circuit in (
+        from_coverkd(build_sk_cover(6, 2, M6, seed=4)),
+        from_coverkd(build_sk_cover(6, 3, M35, seed=1)),
+        from_cover2d(build_s2_cover(8, M35)),
+        naive_snk_circuit(5, 3, M6),
+        naive_ordered_snk_circuit(4, 2, M6),
+        identify_variables_and_scale(from_cover2d(build_s2_cover(8, M35)), M35),
+    ):
+        loaded = serialize.circuit_from_dict(serialize.circuit_to_dict(circuit))
+        assert loaded == circuit
+        point = {var: 1 for var in circuit.vars.ids()}
+        assert evaluate(loaded, point) == evaluate(circuit, point)
 
 
 def test_dump_is_deterministic(tmp_path):
@@ -90,6 +110,13 @@ def _box():
     return serialize.cover_to_dict(build_sk_cover(6, 3, M35, seed=1))
 
 
+def _box_part_1():
+    """A box cover whose first item's first part is [1]."""
+    data = _box()
+    data["items"][0]["parts"][0] = [1]
+    return data
+
+
 def _huge_m():
     return dict(_rect(), m=6 * 2**64, factors=[[2, 65], [3, 1]])
 
@@ -107,6 +134,8 @@ def _huge_m():
         (_rect, ["items", 0, "parts", 1], [5], "outside 1..4"),
         (_box, ["items", 0, "parts", 2], [1.0], "outside 1..6"),
         (_box, ["items", 0, "parts", 0], [1, 1], "repeats an index"),
+        (_box_part_1, ["items", 1, "parts", 0], [True], "outside 1..6"),
+        (_box_part_1, ["items", 1, "parts", 0], [1.0], "outside 1..6"),
         (_rect, ["items", 0, "weight"], 0, "not in 1..5"),
         (_rect, ["items", 0, "weight"], 6, "not in 1..5"),
         (_rect, ["items", 0, "weight"], 1.5, "not in 1..5"),
@@ -117,7 +146,8 @@ def _huge_m():
     ],
     ids=[
         "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "k-above-n", "part-count",
-        "index-0", "index-n-plus-1", "index-not-int", "index-repeated", "weight-0",
+        "index-0", "index-n-plus-1", "index-not-int", "index-repeated",
+        "bool-part-equal-to-a-read-part", "float-part-equal-to-a-read-part", "weight-0",
         "weight-m", "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
         "weights-beyond-count-field",
     ],
@@ -130,6 +160,56 @@ def test_reader_rejects_malformed_fields(make, path, value, message):
     target[path[-1]] = value
     with pytest.raises(SchemaError, match=message):
         serialize.cover_from_dict(data)
+
+
+def _circuit():
+    return serialize.circuit_to_dict(from_coverkd(build_sk_cover(6, 3, M35, seed=1)))
+
+
+@pytest.mark.parametrize(
+    "make, path, value, message",
+    [
+        (_circuit, ["n"], 1, "n must be"),
+        (_circuit, ["n"], 6.0, "n must be"),
+        (_circuit, ["groups"], ["x1", "x2", "x2"], "distinct strings"),
+        (_circuit, ["groups"], ["x1", "x2", 3], "distinct strings"),
+        (_circuit, ["groups"], "x1x2x3", "distinct strings"),
+        (_circuit, ["gates", 0, "forms", 0, 0, 0], "x4", "names group 'x4'"),
+        (_circuit, ["gates", 0, "forms", 0, 0, 1], 0, "outside 1..6"),
+        (_circuit, ["gates", 0, "forms", 1, 0, 1], 7, "outside 1..6"),
+        (_circuit, ["gates", 0, "forms", 2, 0, 1], True, "outside 1..6"),
+        (_circuit, ["gates", 0, "forms", 0, 0, 2], -1, "not in 0..34"),
+        (_circuit, ["gates", 0, "forms", 0, 0, 2], 35, "not in 0..34"),
+        (_circuit, ["gates", 0, "forms", 0, 0, 2], 1.0, "not in 0..34"),
+        (_circuit, ["gates", 0, "repetition"], 0, "repetition 0"),
+        (_circuit, ["gates", 0, "repetition"], "1", "repetition '1'"),
+        (_circuit, ["m"], 30, "do not factor m = 30"),
+        (_circuit, ["gates", 0, "forms", 1], [["x2", 1, 1], ["x2", 1, 2]], "repeats a variable"),
+    ],
+    ids=[
+        "n-below-2", "n-not-int", "groups-repeated", "group-not-str", "groups-not-list",
+        "unknown-group", "index-0", "index-n-plus-1", "index-not-int", "coefficient-negative",
+        "coefficient-m", "coefficient-not-int", "repetition-0", "repetition-not-int",
+        "m-not-factored", "variable-repeated-in-a-form",
+    ],
+)
+def test_circuit_reader_rejects_malformed_fields(make, path, value, message):
+    data = make()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError, match=message):
+        serialize.circuit_from_dict(data)
+
+
+def test_variable_shared_across_forms_is_left_to_the_expansion():
+    data = _circuit()
+    forms = data["gates"][0]["forms"]
+    forms[1][0][0], forms[1][0][1] = forms[0][0][0], forms[0][0][1]
+    circuit = serialize.circuit_from_dict(data)
+    with pytest.raises(ValueError, match="not multilinear"):
+        expand_coefficients(circuit)
 
 
 @pytest.mark.parametrize(
@@ -148,6 +228,52 @@ def test_artifact_bytes_are_pinned(tmp_path, capsys, args, sha256):
     path = tmp_path / "cover.json"
     assert main(["build", "--poly", *args, "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (["s2", "--n", "16", "--m", "6"],
+         "b1c18da856aee0af5bbcf4317955590ea9441ddaab77eb30ae0c9043d5ab8cbf"),
+        (["s2", "--n", "64", "--m", "15"],
+         "5e3ea3a1b2788fe33fee7481acfc5cd40fca5387062b417188fad1ad31fc9e9c"),
+        (["sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "7"],
+         "8f15c2dae93e71c3ffad6829ca86c466479dddcc66bfb1f838ac031646d35c49"),
+    ],
+    ids=["s2-16-6", "s2-64-15", "sk-8-3-35"],
+)
+def test_circuit_bytes_are_pinned(tmp_path, capsys, args, sha256):
+    path = tmp_path / "circuit.json"
+    assert main(["build", "--poly", *args, "--out", str(tmp_path / "cover.json"),
+                 "--circuit-out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+_int_lists = st.lists(st.integers(-(2**70), 2**70) | st.booleans(), min_size=1)
+_scalars = (
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.floats() | st.text()
+)
+_values = st.recursive(
+    _scalars | _int_lists,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(value=_values, shared=st.lists(st.integers(), min_size=1))
+@example(value={"\u00e9\n\"\\": [], "": {}, "k": [1, True, False, 2]}, shared=[3])
+def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared):
+    path = tmp_path_factory.getbasetemp() / "dump.json"
+    # one int list at two depths, written once per depth
+    for data in (value, {"v": value, "s": shared, "t": [shared, {"u": shared}]}):
+        serialize.dump(data, path)
+        assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("data", [{1: 2}, {"a": [{"b": 1, 2: 3}]}], ids=["top", "nested"])
+def test_dump_rejects_keys_that_are_not_str(tmp_path, data):
+    with pytest.raises(TypeError, match="keys must be str"):
+        serialize.dump(data, tmp_path / "bad.json")
 
 
 def test_unserializable_cover_rejected():
