@@ -17,11 +17,12 @@ import itertools
 import math
 import operator
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
-from .coverkd import WeightedBoxCover
+from .coverkd import WeightedBoxCover, field_width, pack, unpack
 
 VarId = tuple[str, int]
 Monomial = tuple[VarId, ...]
@@ -98,19 +99,25 @@ class CircuitSize:
 
 def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
     """One k-linear gate per item, weight folded into the first form.
-    Every form names its variables through one shared id per (group, j)."""
+    Every form names its variables through one shared id per (group, j),
+    and gates share one form per distinct (group, part, coefficient)."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
     space = VariableSpace(group_names(cover.k), cover.n)
     ids = [[(g, j) for j in range(cover.n + 1)] for g in space.groups]
-    gates = []
-    for box, w in cover.items:
-        coeffs = [w % cover.mod.m] + [1] * (cover.k - 1)
-        forms = [
-            LinearForm(dict.fromkeys(map(group.__getitem__, sorted(part)), c))
-            for group, part, c in zip(ids, box.parts, coeffs)
-        ]
-        gates.append(Gate(forms, repetition=w))
+    shared: dict[tuple[int, frozenset[int], int], LinearForm] = {}
+
+    def form(l: int, part: frozenset[int], c: int) -> LinearForm:
+        key = (l, part, c)
+        if key not in shared:
+            shared[key] = LinearForm(dict.fromkeys(map(ids[l].__getitem__, sorted(part)), c))
+        return shared[key]
+
+    groups, ones = range(cover.k), [1] * (cover.k - 1)
+    gates = [
+        Gate([*map(form, groups, box.parts, [w % cover.mod.m, *ones])], repetition=w)
+        for box, w in cover.items
+    ]
     return SigmaPiSigmaCircuit(cover.mod, space, gates)
 
 
@@ -187,23 +194,44 @@ def _nonzero_multilinear(forms: list[dict[VarId, int]]) -> bool:
     return True
 
 
-def _weighted_classes(forms: list[dict[VarId, int]], m: int) -> list:
-    """(weight mod m, one variable list per form) for each way to pick,
-    from every form, one class of variables with equal coefficient."""
-    lows = list(map(min, map(dict.values, forms)))
-    if lows == list(map(max, map(dict.values, forms))):  # one class per form
-        return [(math.prod(lows) % m, forms)]
-    splits = []
-    for coeffs in forms:
-        residues = list(map(m.__rmod__, coeffs.values()))
-        splits.append([
-            (r, list(itertools.compress(coeffs, map(r.__eq__, residues))))
+class _FormFacts(NamedTuple):
+    """What the expansion needs of one distinct form."""
+
+    span: tuple[VarId, VarId] | None  # lowest and highest variable, if the keys increase
+    classes: list[tuple[int, KeysView[VarId]]]  # (coefficient mod m, its variables)
+
+
+def _form_facts(coeffs: dict[VarId, int], m: int) -> _FormFacts | None:
+    """The facts of a form, None for an empty one.  Variables of equal
+    coefficient mod m form a class, kept in key order."""
+    if not coeffs:
+        return None
+    span = None
+    if all(map(operator.lt, coeffs, itertools.islice(coeffs, 1, None))):
+        span = (next(iter(coeffs)), next(reversed(coeffs)))
+    residues = [*map(m.__rmod__, coeffs.values())]
+    if residues.count(residues[0]) == len(residues):  # as in every cover circuit
+        classes = [(residues[0], coeffs.keys())]
+    else:
+        classes = [
+            (r, dict.fromkeys(itertools.compress(coeffs, map(r.__eq__, residues))).keys())
             for r in dict.fromkeys(residues)
-        ])
-    return [
-        (math.prod(coef for coef, _ in choice) % m, [part for _, part in choice])
-        for choice in itertools.product(*splits)
-    ]
+        ]
+    return _FormFacts(span, classes)
+
+
+_SPAN, _CLASSES = map(operator.attrgetter, _FormFacts._fields)
+_RESIDUE, _VARS = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def _weighted_choices(facts: list[_FormFacts], m: int):
+    """(weight mod m, one variable class per form) for each way to pick a
+    class from every form whose weight, the product of their
+    coefficients, is not 0 mod m."""
+    for choice in itertools.product(*map(_CLASSES, facts)):
+        weight = math.prod(map(_RESIDUE, choice)) % m
+        if weight:
+            yield weight, [*map(_VARS, choice)]
 
 
 def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> None:
@@ -214,6 +242,37 @@ def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> N
         raise BudgetExceededError(f"expansion of {gates} gates exceeds {budget} terms")
 
 
+def _expand_rows(
+    heads: dict, lasts: dict[int, KeysView[VarId]], m: int
+) -> dict[Monomial, int]:
+    """The nonzero coefficients mod m of in-order products.  Each prefix
+    monomial (one variable from every form but the last) has one row: an
+    int with one field per variable of some last class, wide enough for
+    the sum of all weights, so no field carries.  heads maps each tuple
+    of prefix classes (by id) to those classes and the weight on each
+    last class (by id); lasts maps ids to last classes.  The packed last
+    classes times their weights are added to every row the prefix
+    classes span, and each row is decoded at C speed."""
+    width = field_width(sum(sum(head.values()) for _, head in heads.values()))
+    fields = sorted(set().union(*lasts.values()))
+    packed = {
+        key: pack(bytes(map(last.__contains__, fields)), width)
+        for key, last in lasts.items()
+    }
+    rows: defaultdict[Monomial, int] = defaultdict(int)
+    for prefix, head in heads.values():
+        add = sum(packed[key] * weight for key, weight in head.items())
+        for mono in itertools.product(*prefix):
+            rows[mono] += add
+    coeffs: dict[Monomial, int] = {}
+    singles, size = [(var,) for var in fields], len(fields) * width
+    for mono, row in rows.items():
+        residues = [*map(m.__rmod__, unpack(row.to_bytes(size, "little"), width))]
+        tails = itertools.compress(singles, residues)
+        coeffs.update(zip(map(mono.__add__, tails), itertools.compress(residues, residues)))
+    return coeffs
+
+
 def expand_coefficients(
     c: SigmaPiSigmaCircuit, budget: int = 10_000_000
 ) -> CoefficientMap:
@@ -221,34 +280,53 @@ def expand_coefficients(
 
     Each gate's forms are split into classes of equal coefficient mod m;
     one class per form contributes the product of its variable lists,
-    weighted by the product of its coefficients.  Monomials are counted
-    per weight and combined mod m at the end, dropping zeros.  The
-    intermediate term count is bounded by the product of form supports
-    per gate; if the total would exceed the budget, a resource error
-    reports the gate count instead of grinding away.
+    weighted by the product of its coefficients.  Each distinct form's
+    facts are worked out once.  A gate is in order when its forms have
+    increasing keys and, taken by lowest variable, each ends below the
+    next one's start, as in every cover circuit: its products come out
+    sorted and are added in packed rows (_expand_rows), which take
+    distinct prefixes x last-form variables x field width bytes, at most
+    n**k fields for a cover circuit.  The products of other gates are
+    sorted, counted per weight and folded in.  Zero coefficients are
+    dropped.  If the term count, bounded by the product of form supports
+    per gate, would exceed the budget, a resource error reports the gate
+    count instead of grinding away.
     """
     m = c.mod.m
     require_budget(([len(f.coeffs) for f in g.forms] for g in c.gates), len(c.gates), budget)
+    distinct = {id(f): f for g in c.gates for f in g.forms}
+    facts = {key: _form_facts(f.coeffs, m) for key, f in distinct.items()}
+    # the in-order gates, as _expand_rows takes them
+    heads: dict[tuple[int, ...], tuple[list[KeysView[VarId]], dict[int, int]]] = {}
+    lasts: dict[int, KeysView[VarId]] = {}
     counts: defaultdict[int, Counter[Monomial]] = defaultdict(Counter)
     for gate in c.gates:
-        forms = [form.coeffs for form in gate.forms]
-        if not _nonzero_multilinear(forms):
+        fs = [*map(facts.__getitem__, map(id, gate.forms))]
+        in_order = bool(fs) and all(fs) and all(map(_SPAN, fs))
+        if in_order:
+            fs.sort(key=_SPAN)
+            # lo_1 <= hi_1 < lo_2 <= hi_2 < ...: each form ends below the next
+            bounds = [*itertools.chain.from_iterable(map(_SPAN, fs))]
+            in_order = all(map(operator.lt, bounds[1:-1:2], bounds[2::2]))
+        if not in_order:
+            if _nonzero_multilinear([form.coeffs for form in gate.forms]):
+                for weight, parts in _weighted_choices(fs, m):
+                    monos = itertools.product(*parts)
+                    counts[weight].update(map(tuple, map(sorted, monos)))
             continue
-        forms.sort(key=min)
-        flat = [*itertools.chain.from_iterable(forms)]
-        # while the forms' variables run in increasing order, so do the products'
-        in_order = all(map(operator.lt, flat, flat[1:]))
-        for weight, chosen in _weighted_classes(forms, m):
-            if weight:
-                monos = itertools.product(*chosen)
-                if not in_order:
-                    monos = map(tuple, map(sorted, monos))
-                counts[weight].update(monos)
-    acc: dict[Monomial, int] = {}
+        for weight, (*prefix, last) in _weighted_choices(fs, m):
+            head = heads.setdefault(tuple(map(id, prefix)), (prefix, {}))[1]
+            head[id(last)] = head.get(id(last), 0) + weight
+            lasts[id(last)] = last
+    coeffs = _expand_rows(heads, lasts, m)
     for weight, count in counts.items():
         for mono, times in count.items():
-            acc[mono] = acc.get(mono, 0) + weight * times
-    return CoefficientMap(c.vars, {mono: v % m for mono, v in acc.items() if v % m})
+            value = (coeffs.get(mono, 0) + weight * times) % m
+            if value:
+                coeffs[mono] = value
+            else:
+                coeffs.pop(mono, None)
+    return CoefficientMap(c.vars, coeffs)
 
 
 def evaluate_map(cmap: CoefficientMap, assignment: dict[VarId, int], m: int) -> int:

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -233,25 +234,26 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     edge_counts: dict[tuple[int, int], int] = {}
-    csv_lines = ["graph_id,i,j"]
     graphs = 0
-    for idx, (rect, w) in enumerate(cover.items):
-        rep = (w * inv2) % m
-        rows, cols = sorted(rect.rows), sorted(rect.cols)
-        for copy in range(1, rep + 1):
-            name = f"cover_{idx:04d}_{copy:02d}"
-            if args.fmt == "dot":
-                (out_dir / f"{name}.dot").write_text(_dot_graph(name, rows, cols))
-            else:
-                csv_lines += [f"{graphs},{i},{j}" for i in rows for j in cols]
-            graphs += 1
-        for i in rows:
-            for j in cols:
-                edge = (min(i, j), max(i, j))
-                edge_counts[edge] = edge_counts.get(edge, 0) + rep
-
-    if args.fmt == "csv":
-        (out_dir / "edges.csv").write_text("\n".join(csv_lines) + "\n")
+    # csv lines go out as each graph is made, so they are never all held
+    csv_path = out_dir / "edges.csv"
+    with open(csv_path, "w") if args.fmt == "csv" else contextlib.nullcontext() as csv_out:
+        if csv_out:
+            csv_out.write("graph_id,i,j\n")
+        for idx, (rect, w) in enumerate(cover.items):
+            rep = (w * inv2) % m
+            rows, cols = sorted(rect.rows), sorted(rect.cols)
+            for copy in range(1, rep + 1):
+                name = f"cover_{idx:04d}_{copy:02d}"
+                if csv_out:
+                    csv_out.writelines(f"{graphs},{i},{j}\n" for i in rows for j in cols)
+                else:
+                    (out_dir / f"{name}.dot").write_text(_dot_graph(name, rows, cols))
+                graphs += 1
+            for i in rows:
+                for j in cols:
+                    edge = (min(i, j), max(i, j))
+                    edge_counts[edge] = edge_counts.get(edge, 0) + rep
 
     manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
                 "graphs": graphs, "edges": []}

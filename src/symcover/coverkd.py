@@ -338,6 +338,33 @@ def transform_boxes(cover: WeightedBoxCover, f: SymmetricPolynomial) -> Weighted
     return _transform(cover, f)
 
 
+def field_width(total: int) -> int:
+    """Bytes per packed field that hold any count up to total, so that no
+    field carries into the next: 1, 2, 4 or 8, else as many as total needs."""
+    return next((b for b in (1, 2, 4, 8) if total < 1 << 8 * b), -(-total.bit_length() // 8))
+
+
+def pack(flags: bytes, width: int) -> int:
+    """One int of len(flags) fields of width bytes, lowest field first,
+    holding 1 in each field whose flag is 1 and 0 elsewhere."""
+    fields = bytearray(len(flags) * width)
+    fields[::width] = flags
+    return int.from_bytes(fields, "little")
+
+
+def unpack(raw: bytes, width: int) -> array.array | list[int]:
+    """The fields of packed little-endian bytes: an array.array for fields
+    of 1, 2, 4 or 8 bytes, a list of ints for wider ones."""
+    if width > 8:
+        starts = range(0, len(raw), width)
+        return [int.from_bytes(raw[i : i + width], "little") for i in starts]
+    fields = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
+    fields.frombytes(raw)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
 def _counts(cover: WeightedBoxCover) -> array.array:
     """Raw weighted counts of all n**k cells, flat and row-major: cell
     (j_1, ..., j_k) sits at index sum of (j_l - 1) * n**(k - l).
@@ -349,17 +376,15 @@ def _counts(cover: WeightedBoxCover) -> array.array:
     the sum is added to each row those parts span."""
     n, k = cover.n, cover.k
     total = sum(w for _, w in cover.items)
-    width = next((b for b in (1, 2, 4, 8) if total < 1 << 8 * b), None)
-    if width is None:
+    width = field_width(total)
+    if width > 8:
         raise ValueError(f"weights summing to {total} overflow a 64-bit count")
     packed: dict[tuple[frozenset[int], int], int] = {}
     by_heads: defaultdict[tuple[frozenset[int], ...], int] = defaultdict(int)
     for box, w in cover.items:
         key = (box.parts[-1], w)
         if key not in packed:
-            fields = bytearray(n * width)
-            fields[::width] = bytes(map(key[0].__contains__, range(1, n + 1)))
-            packed[key] = int.from_bytes(fields, "little") * w
+            packed[key] = pack(bytes(map(key[0].__contains__, range(1, n + 1))), width) * w
         by_heads[box.parts[:-1]] += packed[key]
     rows = [0] * n ** (k - 1)
     for heads, add in by_heads.items():
@@ -368,11 +393,7 @@ def _counts(cover: WeightedBoxCover) -> array.array:
             bases = [b * n + j - 1 for b in bases for j in part]
         for b in bases:
             rows[b] += add
-    counts = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
-    counts.frombytes(b"".join(r.to_bytes(n * width, "little") for r in rows))
-    if sys.byteorder == "big":
-        counts.byteswap()
-    return counts
+    return unpack(b"".join(r.to_bytes(n * width, "little") for r in rows), width)
 
 
 def _cell(index: int, n: int, k: int) -> tuple[int, ...]:

@@ -123,6 +123,15 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
 
 
 def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:
+    """Gates that share a form share one list of its [group, index,
+    coefficient] triples, so the writer can reuse its text."""
+    triples: dict[int, list] = {}  # by id: the forms outlive this call
+
+    def form_list(f: LinearForm) -> list:
+        if id(f) not in triples:
+            triples[id(f)] = [[grp, idx, coef] for (grp, idx), coef in sorted(f.coeffs.items())]
+        return triples[id(f)]
+
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "circuit",
@@ -130,13 +139,7 @@ def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:
         "groups": list(c.vars.groups),
         **_mod_fields(c.mod),
         "gates": [
-            {
-                "repetition": g.repetition,
-                "forms": [
-                    [[grp, idx, coef] for (grp, idx), coef in sorted(f.coeffs.items())]
-                    for f in g.forms
-                ],
-            }
+            {"repetition": g.repetition, "forms": [*map(form_list, g.forms)]}
             for g in c.gates
         ],
     }
@@ -222,25 +225,36 @@ def _members(value, inner: str) -> tuple[list[str], list, str]:
 
 def _text(value, indent: str, memo: dict) -> str:
     """The whole text of `value` nested at `indent`.  A list of scalars is
-    joined at C speed.  Covers share equal parts, so `memo` marks each int
-    list by (id, indent) when first seen and keeps its text from the
-    second sighting on; a member found there is not encoded again."""
+    joined at C speed.  Covers share equal parts and circuits share equal
+    forms, so `memo` marks each int list and each list of [group, index,
+    coefficient] triples by (id, indent) when first seen and keeps its
+    text from the second sighting on; a member found there is not
+    encoded again."""
     if not value or not isinstance(value, (dict, list, tuple)):
         return _scalar(value)
     inner = indent + "  "
+    form = False
     if not isinstance(value, dict):
         types = {*map(type, value)}
         if types <= _SCALARS:
             ints = types == {int}
             body = f",\n{inner}".join(map(str if ints else _scalar, value))
             text = f"[\n{inner}{body}\n{indent}]"
-            if ints:
-                key = (id(value), indent)
-                memo[key] = text if key in memo else None
-            return text
+            return _mark(memo, value, indent, text) if ints else text
+        # a form: a list of lists whose first holds a str, the group name
+        form = types == {list} and str in map(type, value[0])
     heads, values, close = _members(value, inner)
     texts = [memo.get((id(item), inner)) or _text(item, inner, memo) for item in values]
-    return f"{''.join(map(str.__add__, heads, texts))}\n{indent}{close}"
+    text = f"{''.join(map(str.__add__, heads, texts))}\n{indent}{close}"
+    return _mark(memo, value, indent, text) if form else text
+
+
+def _mark(memo: dict, value, indent: str, text: str) -> str:
+    """Mark a value that may be shared when first seen; keep its text
+    from the second sighting on."""
+    key = (id(value), indent)
+    memo[key] = text if key in memo else None
+    return text
 
 
 def _pieces(value, indent: str, memo: dict, depth: int):

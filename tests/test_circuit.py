@@ -4,7 +4,7 @@ import pytest
 
 from symcover.zmod import NotInvertibleError, factorize
 from symcover.cover2d import Rectangle, WeightedRectCover, build_s2_cover, multiplicity
-from symcover.coverkd import build_sk_cover
+from symcover.coverkd import Box, WeightedBoxCover, box_multiplicity_table, build_sk_cover
 from symcover.circuit import (
     BudgetExceededError,
     Gate,
@@ -16,6 +16,7 @@ from symcover.circuit import (
     expand_coefficients,
     from_cover2d,
     from_coverkd,
+    group_names,
     identify_variables_and_scale,
     naive_ordered_snk_circuit,
     naive_snk_circuit,
@@ -128,6 +129,38 @@ def test_expand_matches_cover_multiplicity():
         for j in range(1, 9):
             coeff = expansion.coeffs.get((("x", i), ("y", j)), 0)
             assert coeff == multiplicity(cover, i, j)
+
+
+def _hand_built_k10_cover():
+    """k = 10 groups, where the names sort "x1" < "x10" < "x2"."""
+    rng = random.Random(10)
+    mod, n, k = M35, 3, 10
+    parts = lambda: frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
+    items = [(Box(tuple(parts() for _ in range(k))), rng.randint(1, mod.m - 1)) for _ in range(8)]
+    return WeightedBoxCover(n, k, mod, items)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_s2_cover(40, M35),
+        lambda: build_sk_cover(8, 3, M35),
+        lambda: build_sk_cover(7, 4, factorize(385)),
+        _hand_built_k10_cover,
+    ],
+    ids=["s2-40-35", "sk-8-3-35", "sk-7-4-385", "hand-k10"],
+)
+def test_expansion_is_the_cover_count_table(make):
+    # the coefficient of x^1_{j1}...x^k_{jk} is the cell count mod m
+    cover = make()
+    groups = group_names(cover.k)
+    expected = {
+        tuple(sorted(zip(groups, cell))): count
+        for cell, count in box_multiplicity_table(cover).items()
+        if count
+    }
+    to_circuit = from_cover2d if cover.k == 2 else from_coverkd
+    assert expand_coefficients(to_circuit(cover)).coeffs == expected
 
 
 def test_expand_budget():

@@ -6,7 +6,7 @@ import pytest
 
 from symcover import serialize
 from symcover.cli import main
-from symcover.zmod import factorize
+from symcover.zmod import factorize, mod_inverse
 from symcover.circuit import expand_coefficients, from_cover2d
 from symcover.astrong import check_astrong, target_coefficients
 
@@ -300,6 +300,25 @@ def test_export_csv_format(tmp_path):
     lines = (out_dir / "edges.csv").read_text().strip().splitlines()
     assert lines[0] == "graph_id,i,j"
     assert len(lines) > 1
+
+
+def test_export_csv_is_every_line_joined_at_once(tmp_path):
+    # the lines are written as they are made; the file is the one join of them
+    path = tmp_path / "cover.json"
+    assert main(["build", "--poly", "s2", "--n", "16", "--m", "15", "--out", str(path)]) == 0
+    out_dir = tmp_path / "csv"
+    assert main(
+        ["export-dot", "--in", str(path), "--out-dir", str(out_dir), "--format", "csv"]
+    ) == 0
+    cover = serialize.cover_from_dict(serialize.load(path))
+    lines = ["graph_id,i,j"]
+    graphs = 0
+    for rect, w in cover.items:
+        for _ in range(w * mod_inverse(2, 15) % 15):
+            lines += [f"{graphs},{i},{j}" for i in sorted(rect.rows) for j in sorted(rect.cols)]
+            graphs += 1
+    assert graphs > 1
+    assert (out_dir / "edges.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_export_rejects_box_cover(tmp_path):

@@ -21,6 +21,7 @@ from symcover.coverkd import (
     _repeated_cells,
     box_multiplicity_table,
     build_sk_cover,
+    field_width,
 )
 from symcover.circuit import (
     CoefficientMap,
@@ -132,6 +133,106 @@ def test_expand_matches_reference_on_disjoint_forms(c):
 @given(circuits(disjoint=False))
 def test_expand_matches_reference_on_any_forms(c):
     assert_same_expansion(c)
+
+
+@st.composite
+def shared_form_circuits(draw):
+    """Gates built from one pool of forms, so that gates share LinearForm
+    objects; a gate may name one form twice, sharing its variables."""
+    groups = draw(GROUPS)
+    n = draw(st.integers(1, 4))
+    mod = draw(st.sampled_from(MODULI))
+    pool = [(g, i) for g in groups for i in range(1, n + 1)]
+    spans = st.lists(st.sampled_from(pool), unique=True, max_size=3)
+    coef = st.integers(-mod.m, 2 * mod.m)
+    forms = [
+        LinearForm({var: draw(coef) for var in span})
+        for span in draw(st.lists(spans, min_size=1, max_size=5))
+    ]
+    picks = st.lists(st.sampled_from(forms), max_size=3)
+    gates = [Gate(draw(picks)) for _ in range(draw(st.integers(0, 5)))]
+    return SigmaPiSigmaCircuit(mod, VariableSpace(groups, n), gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_form_circuits())
+def test_expand_matches_reference_on_shared_forms(c):
+    assert_same_expansion(c)
+
+
+@st.composite
+def mixed_order_circuits(draw):
+    """Gates whose forms are consecutive runs of the sorted variables,
+    listed in any order (in order), and gates whose forms interleave or
+    list their keys out of order, with one or several coefficient
+    classes per form."""
+    groups = draw(GROUPS)
+    n = draw(st.integers(2, 4))
+    mod = draw(st.sampled_from(MODULI))
+    pool = sorted((g, i) for g in groups for i in range(1, n + 1))
+    coef = st.sampled_from([1, 2, mod.m - 1, mod.m, mod.m + 3])
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        in_order = draw(st.booleans())
+        order = pool if in_order else draw(st.permutations(pool))
+        cuts = sorted(draw(st.lists(st.integers(1, len(pool) - 1), max_size=3, unique=True)))
+        spans = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(pool)])]
+        spans = draw(st.permutations(spans))
+        gates.append(Gate([LinearForm({var: draw(coef) for var in span}) for span in spans]))
+    return SigmaPiSigmaCircuit(mod, VariableSpace(groups, n), gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_order_circuits())
+def test_expand_matches_reference_on_mixed_gate_orders(c):
+    assert assert_same_expansion(c) is not ValueError
+
+
+def test_expand_matches_reference_beyond_8_byte_fields():
+    # weights of about m > 2**64 each: their total overflows an 8-byte field
+    mod = factorize(3 * 2**65)
+    m = mod.m
+    space = VariableSpace(("x", "y"), 3)
+    x, y = (lambda i: ("x", i)), (lambda i: ("y", i))
+    gates = [
+        Gate([LinearForm({x(1): m - 1, x(2): m - 1}), LinearForm({y(2): 1, y(3): 1})]),
+        Gate([LinearForm({x(1): m - 2}), LinearForm({y(1): 1, y(2): m - 1, y(3): 1})]),
+        Gate([LinearForm({x(2): 1, x(3): m - 5}), LinearForm({y(3): m - 1})]),
+        Gate([LinearForm({x(1): 3}), LinearForm({y(2): 1})]),
+    ]
+    c = SigmaPiSigmaCircuit(mod, space, gates)
+    # gates 1 and 3 each weigh m - 1 on some product: the fields need 9 bytes
+    assert field_width(2 * (m - 1)) == 9
+    expected = assert_same_expansion(c)
+    assert expected is not ValueError
+    assert expected.coeffs[(x(1), y(2))] == 4  # (m - 1) + (m - 2)(m - 1) + 3
+    assert (x(1), y(3)) in expected.coeffs and (x(2), y(2)) in expected.coeffs
+
+
+def test_cover_circuits_share_one_form_per_group_part_and_coefficient():
+    cover = build_sk_cover(8, 3, factorize(35), seed=4)
+    c = from_coverkd(cover)
+    by_key = {}
+    for (box, w), gate in zip(cover.items, c.gates):
+        coeffs = [w % 35, 1, 1]
+        for key in zip(range(3), box.parts, coeffs):
+            by_key.setdefault(key, set()).add(id(gate.forms[key[0]]))
+    assert all(len(ids) == 1 for ids in by_key.values())
+    distinct = {id(f) for g in c.gates for f in g.forms}
+    assert len(distinct) == len(by_key) < 3 * len(c.gates)
+
+
+def test_identification_and_scaling_leave_shared_forms_untouched():
+    mod = factorize(35)
+    c = from_cover2d(build_s2_cover(12, mod))
+    forms = {id(f): f for g in c.gates for f in g.forms}.values()
+    before = [dict(f.coeffs) for f in forms]
+    identified = identify_variables_and_scale(c, mod)
+    scaled = [f.scaled(3, mod.m) for f in forms]
+    assert [f.coeffs for f in forms] == before
+    assert all(s is not f and s.coeffs is not f.coeffs for s, f in zip(scaled, forms))
+    new = {id(f) for g in identified.gates for f in g.forms}
+    assert new.isdisjoint(map(id, forms))
 
 
 def test_expand_edge_cases_match_reference():

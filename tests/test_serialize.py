@@ -260,14 +260,35 @@ _values = st.recursive(
 )
 
 
-@given(value=_values, shared=st.lists(st.integers(), min_size=1))
-@example(value={"\u00e9\n\"\\": [], "": {}, "k": [1, True, False, 2]}, shared=[3])
-def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared):
+_triples = st.lists(
+    st.tuples(st.text(), st.integers(), st.integers()).map(list), min_size=1, max_size=4
+)
+
+
+@given(value=_values, shared=st.lists(st.integers(), min_size=1), form=_triples)
+@example(value={"\u00e9\n\"\\": [], "": {}, "k": [1, True, False, 2]}, shared=[3],
+         form=[["x", 1, 2]])
+def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared, form):
     path = tmp_path_factory.getbasetemp() / "dump.json"
-    # one int list at two depths, written once per depth
-    for data in (value, {"v": value, "s": shared, "t": [shared, {"u": shared}]}):
+    # one int list at two depths, written once per depth; a list of
+    # [str, int, int] triples and any nested value shared across records
+    records = [{"forms": [form, form], "v": value}, {"forms": [form]}, [form, value]]
+    for data in (
+        value,
+        {"v": value, "s": shared, "t": [shared, {"u": shared}]},
+        {"records": records, "again": records[:2], "form": form},
+    ):
         serialize.dump(data, path)
         assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_circuit_forms_share_one_triple_list():
+    circuit = from_coverkd(build_sk_cover(8, 3, M35, seed=4))
+    data = serialize.circuit_to_dict(circuit)
+    written = [f for g in data["gates"] for f in g["forms"]]
+    forms = [f for g in circuit.gates for f in g.forms]
+    assert len(set(map(id, written))) == len(set(map(id, forms))) < len(forms)
+    assert serialize.circuit_from_dict(data) == circuit
 
 
 @pytest.mark.parametrize("data", [{1: 2}, {"a": [{"b": 1, 2: 3}]}], ids=["top", "nested"])
