@@ -40,13 +40,10 @@ class AStrongReport:
     violations: list[MonomialWitness]
     checked: int
 
-    def text(self) -> str:
-        """Line-oriented form, one violating monomial per line."""
+    def summary(self) -> str:
         if self.ok:
-            return f"pass: {self.checked} monomials\n"
-        lines = [f"fail: {len(self.violations)} of {self.checked} monomials"]
-        lines += [w.line() for w in self.violations]
-        return "\n".join(lines) + "\n"
+            return f"pass ({self.checked} monomials)"
+        return f"fail ({len(self.violations)} of {self.checked} monomials)"
 
 
 def target_coefficients(n: int, k: int, ordered: bool = False) -> CoefficientMap:

@@ -13,8 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from .zmod import UnsupportedModulusError, factorize, mod_inverse
-from .cover2d import build_s2_cover, verify_s2_properties
+from .zmod import UnsupportedModulusError, astrong_coeff_status, factorize, mod_inverse
+from .cover2d import WeightedRectCover, build_s2_cover, multiplicity_table, verify_s2_properties
 from .coverkd import ConstructionError, build_sk_cover, verify_sk_properties
 from .circuit import (
     BudgetExceededError,
@@ -156,14 +156,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         target = target_coefficients(cover.n, cover.k, ordered=True)
         a_report = check_astrong(expansion, target, cover.mod)
         astrong_ok = a_report.ok
-        if a_report.ok:
-            print(f"a-strong: pass ({a_report.checked} monomials)")
-        else:
-            print(f"a-strong: fail ({len(a_report.violations)} of "
-                  f"{a_report.checked} monomials)")
-            _print_capped(a_report.violations, MonomialWitness.line)
+        print(f"a-strong: {a_report.summary()}")
+        _print_capped(a_report.violations, MonomialWitness.line)
     except BudgetExceededError as exc:
         print(f"a-strong: skipped ({exc}); cover-level check above is authoritative")
+    except MemoryError:
+        raise ValueError("not enough memory for the a-strong check's expansion") from None
 
     return EXIT_OK if report.ok and astrong_ok else EXIT_VERIFY_FAIL
 
@@ -233,15 +231,14 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    edge_counts: dict[tuple[int, int], int] = {}
+    reps = [(rect, w * inv2 % m) for rect, w in cover.items]
     graphs = 0
     # csv lines go out as each graph is made, so they are never all held
     csv_path = out_dir / "edges.csv"
     with open(csv_path, "w") if args.fmt == "csv" else contextlib.nullcontext() as csv_out:
         if csv_out:
             csv_out.write("graph_id,i,j\n")
-        for idx, (rect, w) in enumerate(cover.items):
-            rep = (w * inv2) % m
+        for idx, (rect, rep) in enumerate(reps):
             rows, cols = sorted(rect.rows), sorted(rect.cols)
             for copy in range(1, rep + 1):
                 name = f"cover_{idx:04d}_{copy:02d}"
@@ -250,22 +247,17 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
                 else:
                     (out_dir / f"{name}.dot").write_text(_dot_graph(name, rows, cols))
                 graphs += 1
-            for i in rows:
-                for j in cols:
-                    edge = (min(i, j), max(i, j))
-                    edge_counts[edge] = edge_counts.get(edge, 0) + rep
 
+    # an edge {i, j} is covered by the graphs holding cell (i, j) or (j, i)
+    counts = multiplicity_table(WeightedRectCover(cover.n, None, reps))
     manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
                 "graphs": graphs, "edges": []}
-    for i in range(1, cover.n + 1):
-        for j in range(i + 1, cover.n + 1):
-            count = edge_counts.get((i, j), 0)
-            unit = next(
-                (fi for fi, q in enumerate(cover.mod.prime_powers) if count % q == 1),
-                None,
-            )
+    for i in range(cover.n):
+        for j in range(i + 1, cover.n):
+            count = counts[i][j] + counts[j][i]
+            unit = astrong_coeff_status(1, count, cover.mod)[1]
             manifest["edges"].append(
-                {"edge": [i, j], "count": count, "factor_index": unit,
+                {"edge": [i + 1, j + 1], "count": count, "factor_index": unit,
                  "prime_power": cover.mod.prime_powers[unit] if unit is not None else None}
             )
     serialize.dump(manifest, out_dir / "manifest.json")

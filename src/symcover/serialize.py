@@ -36,16 +36,24 @@ def _mod_fields(mod: Modulus) -> dict:
     return {"m": mod.m, "factors": [list(f) for f in mod.factors]}
 
 
-def _mod_from(data: dict) -> Modulus:
-    """The modulus the artifact names, refactorized: stored factors that
-    disagree with it would have the checks run against another modulus."""
-    m = data["m"]
+def _header(data: dict, kinds: tuple[str, ...]) -> tuple[str, int, Modulus]:
+    """The fields every artifact leads with: the schema version, a kind
+    among kinds, n >= 2, and the modulus the artifact names, refactorized:
+    stored factors that disagree with it would have the checks run against
+    another modulus."""
+    if data["schema_version"] != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {data['schema_version']}")
+    kind, n, m = data["kind"], data["n"], data["m"]
+    if kind not in kinds:
+        raise SchemaError(f"artifact kind {kind!r} is not {' or '.join(kinds)}")
+    if type(n) is not int or n < 2:
+        raise SchemaError(f"n must be an integer >= 2, got {n!r}")
     if type(m) is not int or m < 2:
         raise SchemaError(f"modulus must be an integer >= 2, got {m!r}")
     mod = factorize(m)
     if data["factors"] != [list(f) for f in mod.factors]:
         raise SchemaError(f"stored factors {data['factors']} do not factor m = {m}")
-    return mod
+    return kind, n, mod
 
 
 def cover_to_dict(cover: WeightedBoxCover) -> dict:
@@ -77,13 +85,8 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
     more (a cell count would overflow the check's widest field), or
     stored factors that do not factor m."""
     try:
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {data['schema_version']}")
-        kind, n, k = data["kind"], data["n"], data["k"]
-        if kind not in ("rect", "box"):
-            raise SchemaError(f"unknown cover kind {kind!r}")
-        if type(n) is not int or n < 2:
-            raise SchemaError(f"n must be an integer >= 2, got {n!r}")
+        kind, n, mod = _header(data, ("rect", "box"))
+        k = data["k"]
         if type(k) is not int or k < 2 or (kind == "rect" and k != 2):
             raise SchemaError(f"a {kind} cover cannot have k = {k!r}")
         # n >= 2, so k >= 64 alone exceeds it, and no huge power is computed
@@ -91,7 +94,6 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
             raise SchemaError(f"n**k = {n}**{k} cells is more than any table can hold")
         if k > n:
             raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
-        mod = _mod_from(data)
         items = []
         # one frozenset per distinct part, shared by every item that names it;
         # only its first occurrence is range-checked
@@ -153,14 +155,8 @@ def circuit_from_dict(data: dict) -> SigmaPiSigmaCircuit:
     A variable shared by two forms of a gate is left to
     `expand_coefficients`, which rejects it as not multilinear."""
     try:
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {data['schema_version']}")
-        if data["kind"] != "circuit":
-            raise SchemaError(f"not a circuit artifact: kind {data['kind']!r}")
-        mod = _mod_from(data)
-        n, groups = data["n"], data["groups"]
-        if type(n) is not int or n < 2:
-            raise SchemaError(f"n must be an integer >= 2, got {n!r}")
+        _, n, mod = _header(data, ("circuit",))
+        groups = data["groups"]
         if type(groups) is not list or not {*map(type, groups)} <= {str} or (
             len(set(groups)) != len(groups)
         ):
@@ -283,7 +279,8 @@ def dump(data: dict, path: str | Path) -> None:
 
 def load(path: str | Path, digest=None) -> dict:
     """Parse a JSON artifact; `digest` (a hashlib object), if given, is
-    updated with exactly the bytes that were parsed."""
+    updated with exactly the bytes that were parsed.  Text that is not
+    JSON, or nests too deeply for the parser, is a SchemaError."""
     raw = Path(path).read_bytes()
     if digest is not None:
         digest.update(raw)
@@ -291,3 +288,5 @@ def load(path: str | Path, digest=None) -> dict:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {path}: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"JSON nested too deeply to parse: {path}") from None

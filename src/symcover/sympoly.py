@@ -14,6 +14,7 @@ up to d, and with per-prime-power values restricted to {0, 1}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,34 +112,18 @@ def choose_exponents(mod: Modulus, d: int) -> ExponentChoice:
     """
     if d < 1:
         raise ValueError(f"threshold d must be >= 1, got {d}")
-    caps = []
-    for p, _ in mod.factors:
-        a = 0
-        while p**a < d + 1:
-            a += 1
-        caps.append(a)
 
-    best: tuple[int, ...] | None = None
-    best_bound = None
+    def bound(exponents: tuple[int, ...]) -> int:
+        return max((2 * e - 1) * (p**a - 1) for (p, e), a in zip(mod.factors, exponents))
 
-    def search(i: int, prefix: tuple[int, ...], product: int) -> None:
-        nonlocal best, best_bound
-        if i == mod.r:
-            if product < d + 1:
-                return
-            bound = max(
-                (2 * e - 1) * (p**a - 1)
-                for (p, e), a in zip(mod.factors, prefix)
-            )
-            if best_bound is None or bound < best_bound:
-                best, best_bound = prefix, bound
-            return
-        for a in range(caps[i] + 1):
-            search(i + 1, prefix + (a,), product * mod.factors[i][0] ** a)
-
-    search(0, (), 1)
-    assert best is not None and best_bound is not None
-    return ExponentChoice(best, best_bound)
+    ranges = [range(next(a for a in itertools.count() if p**a > d) + 1) for p, _ in mod.factors]
+    enough = (
+        exponents
+        for exponents in itertools.product(*ranges)
+        if math.prod(p**a for (p, _), a in zip(mod.factors, exponents)) > d
+    )
+    best = min(enough, key=bound)  # product order is lexicographic: ties keep the first
+    return ExponentChoice(best, bound(best))
 
 
 def bbr_construct(mod: Modulus, d: int, ell: int) -> SymmetricPolynomial:

@@ -110,21 +110,24 @@ def _box_artifact(n, k, items):
     "artifact, message",
     [
         # [0] * 2**64 would raise OverflowError inside the check
-        (_box_artifact(2, 64, []), "n**k = 2**64"),
-        (_box_artifact(3, 3, [{"parts": [[1, 1], [2], [3]], "weight": 1}]),
+        (json.dumps(_box_artifact(2, 64, [])), "n**k = 2**64"),
+        (json.dumps(_box_artifact(3, 3, [{"parts": [[1, 1], [2], [3]], "weight": 1}])),
          "repeats an index"),
         # the check would print "properties: pass" and then fail on the target
-        (_box_artifact(2, 3, []), "k = 3 exceeds n = 2"),
+        (json.dumps(_box_artifact(2, 3, [])), "k = 3 exceeds n = 2"),
         # a cell count of 2**64 would wrap in the check's widest field
-        (dict(_box_artifact(3, 3, [{"parts": [[1], [2], [3]], "weight": 2**64}]),
-              m=3 * 2**65, factors=[[2, 65], [3, 1]]),
+        (json.dumps(dict(_box_artifact(3, 3, [{"parts": [[1], [2], [3]], "weight": 2**64}]),
+                         m=3 * 2**65, factors=[[2, 65], [3, 1]])),
          ">= 2**64"),
+        # the parser runs out of stack before it sees a field
+        ("[" * 5000 + "]" * 5000, "nested too deeply"),
     ],
-    ids=["k-64", "duplicate-index", "k-above-n", "weights-beyond-count-field"],
+    ids=["k-64", "duplicate-index", "k-above-n", "weights-beyond-count-field",
+         "nested-too-deeply"],
 )
 def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message):
     cover = tmp_path / "cover.json"
-    cover.write_text(json.dumps(artifact))
+    cover.write_text(artifact)
     assert main(["verify", "--in", str(cover)]) == 2
     assert message in capsys.readouterr().err
 
@@ -138,6 +141,19 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
     cover.write_text(json.dumps(_box_artifact(3, 3, [])))
     assert main(["verify", "--in", str(cover)]) == 2
     assert "n**k = 3**3" in capsys.readouterr().err
+
+
+def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):
+    def out_of_memory(circuit, budget):
+        raise MemoryError
+
+    monkeypatch.setattr("symcover.cli.expand_coefficients", out_of_memory)
+    cover = _build(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(cover)]) == 2
+    out, err = capsys.readouterr()
+    assert "properties: pass" in out and "a-strong" not in out
+    assert "not enough memory" in err
 
 
 def test_verify_skips_expansion_without_building_the_circuit(tmp_path, capsys, monkeypatch):
@@ -329,6 +345,13 @@ def test_export_rejects_box_cover(tmp_path):
     ) == 0
     code = main(["export-dot", "--in", str(cover), "--out-dir", str(tmp_path / "d")])
     assert code == 2
+
+
+def test_export_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "cover.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert main(["export-dot", "--in", str(path), "--out-dir", str(tmp_path / "d")]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -1,7 +1,8 @@
 """The counting expansion, the tallying a-strong check, the packed-row
-cell counts and the value-count property check against the plain loops
-they replaced, kept here as reference implementations: same coefficient
-maps, same counts, same reports, same errors."""
+cell counts, the value-count property check and the exponent choice
+against the plain loops they replaced, kept here as reference
+implementations: same coefficient maps, same counts, same reports, same
+choices, same errors."""
 
 import itertools
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symcover.zmod import astrong_coeff_status, factorize
+from symcover.sympoly import ExponentChoice, choose_exponents
 from symcover.cover2d import build_s2_cover, multiplicity_table
 from symcover.coverkd import (
     Box,
@@ -462,3 +464,52 @@ def test_check_matches_reference_on_s2_covers(m):
             assert _check_properties(case) == expected, n
             assert _counts(case).tolist() == reference_counts(case), n
         assert expected.ok is False and reference_check_properties(cover).ok, n
+
+
+def reference_choose_exponents(mod, d):
+    """Depth-first over a_i <= ceil(log_{p_i}(d+1)) in lexicographic order,
+    keeping the first tuple with the least degree bound."""
+    if d < 1:
+        raise ValueError(f"threshold d must be >= 1, got {d}")
+    caps = []
+    for p, _ in mod.factors:
+        a = 0
+        while p**a < d + 1:
+            a += 1
+        caps.append(a)
+
+    best = None
+    best_bound = None
+
+    def search(i, prefix, product):
+        nonlocal best, best_bound
+        if i == mod.r:
+            if product < d + 1:
+                return
+            bound = max(
+                (2 * e - 1) * (p**a - 1)
+                for (p, e), a in zip(mod.factors, prefix)
+            )
+            if best_bound is None or bound < best_bound:
+                best, best_bound = prefix, bound
+            return
+        for a in range(caps[i] + 1):
+            search(i + 1, prefix + (a,), product * mod.factors[i][0] ** a)
+
+    search(0, (), 1)
+    assert best is not None and best_bound is not None
+    return ExponentChoice(best, best_bound)
+
+
+def test_choose_exponents_matches_reference():
+    for m in range(2, 401):
+        mod = factorize(m)
+        for d in [*range(1, 65), 100, 255, 1000, 4096]:
+            assert choose_exponents(mod, d) == reference_choose_exponents(mod, d), (m, d)
+
+
+def test_choose_exponents_rejects_d_below_1_as_the_reference_does():
+    for d in (0, -1):
+        assert outcome(choose_exponents, factorize(6), d) == outcome(
+            reference_choose_exponents, factorize(6), d
+        )
