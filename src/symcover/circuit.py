@@ -13,16 +13,16 @@ per repetition of a unit gate), and that view needs the raw counts.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import operator
 from collections import Counter, defaultdict
 from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
-from .coverkd import WeightedBoxCover, field_width, pack, unpack
+from .coverkd import WeightedBoxCover, _counts
 
 VarId = tuple[str, int]
 Monomial = tuple[VarId, ...]
@@ -194,44 +194,26 @@ def _nonzero_multilinear(forms: list[dict[VarId, int]]) -> bool:
     return True
 
 
-class _FormFacts(NamedTuple):
-    """What the expansion needs of one distinct form."""
-
-    span: tuple[VarId, VarId] | None  # lowest and highest variable, if the keys increase
-    classes: list[tuple[int, KeysView[VarId]]]  # (coefficient mod m, its variables)
-
-
-def _form_facts(coeffs: dict[VarId, int], m: int) -> _FormFacts | None:
-    """The facts of a form, None for an empty one.  Variables of equal
-    coefficient mod m form a class, kept in key order."""
-    if not coeffs:
-        return None
-    span = None
-    if all(map(operator.lt, coeffs, itertools.islice(coeffs, 1, None))):
-        span = (next(iter(coeffs)), next(reversed(coeffs)))
+def _form_classes(coeffs: dict[VarId, int], m: int) -> list[tuple[int, KeysView[VarId]]]:
+    """(coefficient mod m, its variables) per class of a form's variables
+    of equal coefficient mod m, in key order; none for an empty form."""
     residues = [*map(m.__rmod__, coeffs.values())]
-    if residues.count(residues[0]) == len(residues):  # as in every cover circuit
-        classes = [(residues[0], coeffs.keys())]
-    else:
-        classes = [
-            (r, dict.fromkeys(itertools.compress(coeffs, map(r.__eq__, residues))).keys())
-            for r in dict.fromkeys(residues)
-        ]
-    return _FormFacts(span, classes)
+    if len(set(residues)) == 1:  # as in every cover circuit
+        return [(residues[0], coeffs.keys())]
+    return [
+        (r, dict.fromkeys(itertools.compress(coeffs, map(r.__eq__, residues))).keys())
+        for r in dict.fromkeys(residues)
+    ]
 
 
-_SPAN, _CLASSES = map(operator.attrgetter, _FormFacts._fields)
-_RESIDUE, _VARS = operator.itemgetter(0), operator.itemgetter(1)
-
-
-def _weighted_choices(facts: list[_FormFacts], m: int):
+def _weighted_choices(classes: list[list[tuple[int, KeysView[VarId]]]], m: int):
     """(weight mod m, one variable class per form) for each way to pick a
     class from every form whose weight, the product of their
     coefficients, is not 0 mod m."""
-    for choice in itertools.product(*map(_CLASSES, facts)):
-        weight = math.prod(map(_RESIDUE, choice)) % m
+    for choice in itertools.product(*classes):
+        weight = math.prod(r for r, _ in choice) % m
         if weight:
-            yield weight, [*map(_VARS, choice)]
+            yield weight, [variables for _, variables in choice]
 
 
 def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> None:
@@ -242,83 +224,31 @@ def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> N
         raise BudgetExceededError(f"expansion of {gates} gates exceeds {budget} terms")
 
 
-def _expand_rows(
-    heads: dict, lasts: dict[int, KeysView[VarId]], m: int
-) -> dict[Monomial, int]:
-    """The nonzero coefficients mod m of in-order products.  Each prefix
-    monomial (one variable from every form but the last) has one row: an
-    int with one field per variable of some last class, wide enough for
-    the sum of all weights, so no field carries.  heads maps each tuple
-    of prefix classes (by id) to those classes and the weight on each
-    last class (by id); lasts maps ids to last classes.  The packed last
-    classes times their weights are added to every row the prefix
-    classes span, and each row is decoded at C speed."""
-    width = field_width(sum(sum(head.values()) for _, head in heads.values()))
-    fields = sorted(set().union(*lasts.values()))
-    packed = {
-        key: pack(bytes(map(last.__contains__, fields)), width)
-        for key, last in lasts.items()
-    }
-    rows: defaultdict[Monomial, int] = defaultdict(int)
-    for prefix, head in heads.values():
-        add = sum(packed[key] * weight for key, weight in head.items())
-        for mono in itertools.product(*prefix):
-            rows[mono] += add
-    coeffs: dict[Monomial, int] = {}
-    singles, size = [(var,) for var in fields], len(fields) * width
-    for mono, row in rows.items():
-        residues = [*map(m.__rmod__, unpack(row.to_bytes(size, "little"), width))]
-        tails = itertools.compress(singles, residues)
-        coeffs.update(zip(map(mono.__add__, tails), itertools.compress(residues, residues)))
-    return coeffs
-
-
 def expand_coefficients(
     c: SigmaPiSigmaCircuit, budget: int = 10_000_000
 ) -> CoefficientMap:
     """Exact symbolic expansion into a multilinear coefficient map.
 
-    Each gate's forms are split into classes of equal coefficient mod m;
-    one class per form contributes the product of its variable lists,
-    weighted by the product of its coefficients.  Each distinct form's
-    facts are worked out once.  A gate is in order when its forms have
-    increasing keys and, taken by lowest variable, each ends below the
-    next one's start, as in every cover circuit: its products come out
-    sorted and are added in packed rows (_expand_rows), which take
-    distinct prefixes x last-form variables x field width bytes, at most
-    n**k fields for a cover circuit.  The products of other gates are
-    sorted, counted per weight and folded in.  Zero coefficients are
-    dropped.  If the term count, bounded by the product of form supports
-    per gate, would exceed the budget, a resource error reports the gate
-    count instead of grinding away.
+    Each gate's forms are split into classes of equal coefficient mod m,
+    worked out once per distinct form; one class per form contributes
+    the product of its variable lists, weighted by the product of its
+    coefficients.  The products are sorted, counted per weight and
+    combined mod m; zero coefficients are dropped.  If the term count,
+    bounded by the product of form supports per gate, would exceed the
+    budget, a resource error reports the gate count instead of grinding
+    away.
     """
     m = c.mod.m
     require_budget(([len(f.coeffs) for f in g.forms] for g in c.gates), len(c.gates), budget)
     distinct = {id(f): f for g in c.gates for f in g.forms}
-    facts = {key: _form_facts(f.coeffs, m) for key, f in distinct.items()}
-    # the in-order gates, as _expand_rows takes them
-    heads: dict[tuple[int, ...], tuple[list[KeysView[VarId]], dict[int, int]]] = {}
-    lasts: dict[int, KeysView[VarId]] = {}
+    classes = {key: _form_classes(f.coeffs, m) for key, f in distinct.items()}
     counts: defaultdict[int, Counter[Monomial]] = defaultdict(Counter)
     for gate in c.gates:
-        fs = [*map(facts.__getitem__, map(id, gate.forms))]
-        in_order = bool(fs) and all(fs) and all(map(_SPAN, fs))
-        if in_order:
-            fs.sort(key=_SPAN)
-            # lo_1 <= hi_1 < lo_2 <= hi_2 < ...: each form ends below the next
-            bounds = [*itertools.chain.from_iterable(map(_SPAN, fs))]
-            in_order = all(map(operator.lt, bounds[1:-1:2], bounds[2::2]))
-        if not in_order:
-            if _nonzero_multilinear([form.coeffs for form in gate.forms]):
-                for weight, parts in _weighted_choices(fs, m):
-                    monos = itertools.product(*parts)
-                    counts[weight].update(map(tuple, map(sorted, monos)))
-            continue
-        for weight, (*prefix, last) in _weighted_choices(fs, m):
-            head = heads.setdefault(tuple(map(id, prefix)), (prefix, {}))[1]
-            head[id(last)] = head.get(id(last), 0) + weight
-            lasts[id(last)] = last
-    coeffs = _expand_rows(heads, lasts, m)
+        if _nonzero_multilinear([form.coeffs for form in gate.forms]):
+            for weight, parts in _weighted_choices([classes[id(f)] for f in gate.forms], m):
+                monos = itertools.product(*parts)
+                counts[weight].update(map(tuple, map(sorted, monos)))
+    coeffs: dict[Monomial, int] = {}
     for weight, count in counts.items():
         for mono, times in count.items():
             value = (coeffs.get(mono, 0) + weight * times) % m
@@ -327,6 +257,23 @@ def expand_coefficients(
             else:
                 coeffs.pop(mono, None)
     return CoefficientMap(c.vars, coeffs)
+
+
+def cover_coefficients(cover: WeightedBoxCover) -> CoefficientMap:
+    """The expansion of a cover's circuit, read off its count table: the
+    coefficient of x^1_{j1}...x^k_{jk} is the count of cell (j1, ..., jk)
+    mod m.  Cells come in row-major order and each monomial lists its
+    variables in group-name order, where "x10" < "x2"."""
+    if cover.mod is None:
+        raise ValueError("cover has no modulus")
+    space = VariableSpace(group_names(cover.k), cover.n)
+    counts = _counts(cover)
+    residues = array.array(counts.typecode, map(cover.mod.m.__rmod__, counts))
+    del counts  # freed before the map is built
+    ids = ([(g, j) for j in range(1, cover.n + 1)] for g in space.groups)
+    in_name_order = operator.itemgetter(*sorted(range(cover.k), key=space.groups.__getitem__))
+    monos = map(in_name_order, itertools.compress(itertools.product(*ids), residues))
+    return CoefficientMap(space, dict(zip(monos, itertools.compress(residues, residues))))
 
 
 def evaluate_map(cmap: CoefficientMap, assignment: dict[VarId, int], m: int) -> int:

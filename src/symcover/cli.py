@@ -18,7 +18,7 @@ from .cover2d import WeightedRectCover, build_s2_cover, multiplicity_table, veri
 from .coverkd import ConstructionError, build_sk_cover, verify_sk_properties
 from .circuit import (
     BudgetExceededError,
-    expand_coefficients,
+    cover_coefficients,
     from_cover2d,
     from_coverkd,
     require_budget,
@@ -84,13 +84,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _checks(k: int):
-    """Property check and circuit converter: the s2 ones for k = 2."""
-    if k == 2:
-        return verify_s2_properties, from_cover2d
-    return verify_sk_properties, from_coverkd
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ValueError(f"need n >= 2, got {args.n}")
@@ -103,8 +96,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         cover = build_sk_cover(
             args.n, args.k, mod, b=args.b, strategy=args.strategy, seed=args.seed
         )
-    _, to_circuit = _checks(cover.k)
-    circuit = to_circuit(cover)
+    circuit = (from_cover2d if cover.k == 2 else from_coverkd)(cover)
     s = size(circuit)
     written = [args.out]
     if args.circuit_out:
@@ -137,7 +129,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     digest = hashlib.sha256()
     cover = serialize.cover_from_dict(serialize.load(args.input, digest))
     print(f"artifact: sha256 {digest.hexdigest()}")
-    verify, to_circuit = _checks(cover.k)
+    verify = verify_s2_properties if cover.k == 2 else verify_sk_properties
     try:
         report = verify(cover)
     except MemoryError:
@@ -149,10 +141,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     astrong_ok = True
     try:
-        # the budget is judged on the cover, so an over-budget circuit is never built
+        # the budget bounds the circuit's terms; its expansion is the cover's count table
         parts = (map(len, box.parts) for box, _ in cover.items)
         require_budget(parts, len(cover.items), args.expansion_budget)
-        expansion = expand_coefficients(to_circuit(cover), budget=args.expansion_budget)
+        expansion = cover_coefficients(cover)
         target = target_coefficients(cover.n, cover.k, ordered=True)
         a_report = check_astrong(expansion, target, cover.mod)
         astrong_ok = a_report.ok

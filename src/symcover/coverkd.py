@@ -352,12 +352,8 @@ def pack(flags: bytes, width: int) -> int:
     return int.from_bytes(fields, "little")
 
 
-def unpack(raw: bytes, width: int) -> array.array | list[int]:
-    """The fields of packed little-endian bytes: an array.array for fields
-    of 1, 2, 4 or 8 bytes, a list of ints for wider ones."""
-    if width > 8:
-        starts = range(0, len(raw), width)
-        return [int.from_bytes(raw[i : i + width], "little") for i in starts]
+def unpack(raw: bytes, width: int) -> array.array:
+    """The fields of packed little-endian bytes, each 1, 2, 4 or 8 bytes wide."""
     fields = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
     fields.frombytes(raw)
     if sys.byteorder == "big":

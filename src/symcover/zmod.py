@@ -22,7 +22,8 @@ class NotInvertibleError(ValueError):
 
 
 class UnsupportedModulusError(ValueError):
-    """Raised when a construction needs more prime factors than m has."""
+    """Raised when a construction needs more prime factors than m has,
+    or when m has no factorization by trial division up to 2**20."""
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,23 @@ class Modulus:
         return f"{self.m} = {parts}"
 
 
+_TRIAL_LIMIT = 2**20  # the last trial divisor; reaching it takes about 0.1 s
+
+
 def factorize(m: int) -> Modulus:
-    """Factor m >= 2 by trial division and return it as a Modulus."""
+    """Factor m >= 2 by trial division and return it as a Modulus.
+    Raises UnsupportedModulusError when the divisor passes 2**20 while
+    the cofactor left is still at least its square."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     factors = []
     rest = m
     p = 2
     while p * p <= rest:
+        if p > _TRIAL_LIMIT:
+            raise UnsupportedModulusError(
+                f"modulus {m} is not factored by trial division up to 2**20: {rest} is left"
+            )
         if rest % p == 0:
             e = 0
             while rest % p == 0:

@@ -11,6 +11,7 @@ from symcover.circuit import (
     LinearForm,
     SigmaPiSigmaCircuit,
     VariableSpace,
+    cover_coefficients,
     evaluate,
     evaluate_map,
     expand_coefficients,
@@ -161,6 +162,7 @@ def test_expansion_is_the_cover_count_table(make):
     }
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
     assert expand_coefficients(to_circuit(cover)).coeffs == expected
+    assert cover_coefficients(cover).coeffs == expected
 
 
 def test_expand_budget():

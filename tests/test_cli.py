@@ -132,6 +132,23 @@ def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message)
     assert message in capsys.readouterr().err
 
 
+def test_verify_rejects_a_modulus_trial_division_cannot_factor(tmp_path, capsys):
+    # 2**61 - 1 is prime: trial division would run to 2**30.5 before saying so
+    m = 2**61 - 1
+    cover = tmp_path / "cover.json"
+    artifact = dict(_box_artifact(2, 2, []), kind="rect", m=m, factors=[[m, 1]])
+    cover.write_text(json.dumps(artifact))
+    assert main(["verify", "--in", str(cover)]) == 2
+    assert f"modulus {m} is not factored" in capsys.readouterr().err
+
+
+def test_build_rejects_a_modulus_trial_division_cannot_factor(tmp_path, capsys):
+    args = ["build", "--poly", "s2", "--n", "4", "--m", "2305843009213693951"]
+    assert main(args + ["--out", str(tmp_path / "cover.json")]) == 2
+    assert "modulus 2305843009213693951 is not factored" in capsys.readouterr().err
+    assert not (tmp_path / "cover.json").exists()
+
+
 def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
     def out_of_memory(cover):
         raise MemoryError
@@ -144,10 +161,10 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):
-    def out_of_memory(circuit, budget):
+    def out_of_memory(cover):
         raise MemoryError
 
-    monkeypatch.setattr("symcover.cli.expand_coefficients", out_of_memory)
+    monkeypatch.setattr("symcover.cli.cover_coefficients", out_of_memory)
     cover = _build(tmp_path)
     capsys.readouterr()
     assert main(["verify", "--in", str(cover)]) == 2

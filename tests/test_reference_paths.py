@@ -2,7 +2,8 @@
 cell counts, the value-count property check and the exponent choice
 against the plain loops they replaced, kept here as reference
 implementations: same coefficient maps, same counts, same reports, same
-choices, same errors."""
+choices, same errors.  The coefficients verify reads off a cover's count
+table are checked against the expansion of the cover's circuit."""
 
 import itertools
 
@@ -31,6 +32,7 @@ from symcover.circuit import (
     LinearForm,
     SigmaPiSigmaCircuit,
     VariableSpace,
+    cover_coefficients,
     expand_coefficients,
     from_cover2d,
     from_coverkd,
@@ -410,6 +412,31 @@ def box_covers(draw):
 @given(box_covers())
 def test_counts_and_check_match_reference(cover):
     assert_same_counts_and_report(cover)
+
+
+@st.composite
+def cancelling_box_covers(draw):
+    """Covers of any boxes over n <= 6, empty parts and repeated-index
+    cells included, where some items come back with the weight that
+    cancels theirs mod m."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, 6))
+    mod = factorize(draw(st.sampled_from([6, 35, 385])))
+    part = st.frozensets(st.integers(1, n))
+    items = draw(st.lists(
+        st.tuples(st.tuples(*[part] * k).map(Box), st.integers(1, mod.m - 1)),
+        max_size=10,
+    ))
+    cancelled = draw(st.lists(st.sampled_from(items), max_size=len(items))) if items else []
+    items += [(box, mod.m - w) for box, w in cancelled]
+    return WeightedBoxCover(n, k, mod, draw(st.permutations(items)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_box_covers())
+def test_cover_coefficients_are_the_expansion_of_the_cover_circuit(cover):
+    to_circuit = from_cover2d if cover.k == 2 else from_coverkd
+    assert cover_coefficients(cover) == expand_coefficients(to_circuit(cover))
 
 
 @pytest.mark.parametrize("k", [2, 3])

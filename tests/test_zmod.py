@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from symcover.zmod import (
     Modulus,
     NotInvertibleError,
+    UnsupportedModulusError,
     astrong_coeff_status,
     binom_mod,
     crt_combine,
@@ -26,6 +27,16 @@ def test_factorize_reconstructs_m():
         assert math.prod(p**e for p, e in mod.factors) == m
         primes = [p for p, _ in mod.factors]
         assert primes == sorted(primes)
+
+
+def test_factorize_finds_prime_factors_up_to_the_trial_limit():
+    assert factorize(999983 * 1000003).factors == ((999983, 1), (1000003, 1))
+    assert factorize(3 * 2**65).factors == ((2, 65), (3, 1))
+
+
+def test_factorize_gives_up_past_the_trial_limit():
+    with pytest.raises(UnsupportedModulusError, match="2305843009213693951"):
+        factorize(2**61 - 1)
 
 
 def test_factorize_rejects_small():
