@@ -17,8 +17,7 @@ import array
 import itertools
 import math
 import operator
-from collections import Counter, defaultdict
-from collections.abc import Iterable, KeysView
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
@@ -194,28 +193,6 @@ def _nonzero_multilinear(forms: list[dict[VarId, int]]) -> bool:
     return True
 
 
-def _form_classes(coeffs: dict[VarId, int], m: int) -> list[tuple[int, KeysView[VarId]]]:
-    """(coefficient mod m, its variables) per class of a form's variables
-    of equal coefficient mod m, in key order; none for an empty form."""
-    residues = [*map(m.__rmod__, coeffs.values())]
-    if len(set(residues)) == 1:  # as in every cover circuit
-        return [(residues[0], coeffs.keys())]
-    return [
-        (r, dict.fromkeys(itertools.compress(coeffs, map(r.__eq__, residues))).keys())
-        for r in dict.fromkeys(residues)
-    ]
-
-
-def _weighted_choices(classes: list[list[tuple[int, KeysView[VarId]]]], m: int):
-    """(weight mod m, one variable class per form) for each way to pick a
-    class from every form whose weight, the product of their
-    coefficients, is not 0 mod m."""
-    for choice in itertools.product(*classes):
-        weight = math.prod(r for r, _ in choice) % m
-        if weight:
-            yield weight, [variables for _, variables in choice]
-
-
 def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> None:
     """Raise BudgetExceededError when an expansion's term count, the sum
     over gates of the product of their form sizes, exceeds the budget.
@@ -229,33 +206,24 @@ def expand_coefficients(
 ) -> CoefficientMap:
     """Exact symbolic expansion into a multilinear coefficient map.
 
-    Each gate's forms are split into classes of equal coefficient mod m,
-    worked out once per distinct form; one class per form contributes
-    the product of its variable lists, weighted by the product of its
-    coefficients.  The products are sorted, counted per weight and
-    combined mod m; zero coefficients are dropped.  If the term count,
-    bounded by the product of form supports per gate, would exceed the
-    budget, a resource error reports the gate count instead of grinding
-    away.
+    Every gate is multiplied out term by term: each choice of one
+    variable per form gives a monomial, weighted by the product of the
+    chosen coefficients.  The weights are summed over the integers per
+    monomial and reduced mod m once at the end; zero coefficients are
+    dropped.  If the term count, the product of form supports summed
+    over gates, would exceed the budget, a resource error reports the
+    gate count instead of grinding away.
     """
     m = c.mod.m
     require_budget(([len(f.coeffs) for f in g.forms] for g in c.gates), len(c.gates), budget)
-    distinct = {id(f): f for g in c.gates for f in g.forms}
-    classes = {key: _form_classes(f.coeffs, m) for key, f in distinct.items()}
-    counts: defaultdict[int, Counter[Monomial]] = defaultdict(Counter)
+    sums: dict[Monomial, int] = {}
     for gate in c.gates:
         if _nonzero_multilinear([form.coeffs for form in gate.forms]):
-            for weight, parts in _weighted_choices([classes[id(f)] for f in gate.forms], m):
-                monos = itertools.product(*parts)
-                counts[weight].update(map(tuple, map(sorted, monos)))
-    coeffs: dict[Monomial, int] = {}
-    for weight, count in counts.items():
-        for mono, times in count.items():
-            value = (coeffs.get(mono, 0) + weight * times) % m
-            if value:
-                coeffs[mono] = value
-            else:
-                coeffs.pop(mono, None)
+            monos = map(tuple, map(sorted, itertools.product(*(f.coeffs for f in gate.forms))))
+            weights = map(math.prod, itertools.product(*(f.coeffs.values() for f in gate.forms)))
+            for mono, weight in zip(monos, weights):
+                sums[mono] = sums.get(mono, 0) + weight
+    coeffs = {mono: value for mono, total in sums.items() if (value := total % m)}
     return CoefficientMap(c.vars, coeffs)
 
 

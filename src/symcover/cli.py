@@ -241,17 +241,22 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
                 graphs += 1
 
     # an edge {i, j} is covered by the graphs holding cell (i, j) or (j, i)
-    counts = multiplicity_table(WeightedRectCover(cover.n, None, reps))
-    manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
-                "graphs": graphs, "edges": []}
-    for i in range(cover.n):
-        for j in range(i + 1, cover.n):
-            count = counts[i][j] + counts[j][i]
-            unit = astrong_coeff_status(1, count, cover.mod)[1]
-            manifest["edges"].append(
-                {"edge": [i + 1, j + 1], "count": count, "factor_index": unit,
-                 "prime_power": cover.mod.prime_powers[unit] if unit is not None else None}
-            )
+    try:
+        counts = multiplicity_table(WeightedRectCover(cover.n, None, reps))
+        manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
+                    "graphs": graphs, "edges": []}
+        for i in range(cover.n):
+            for j in range(i + 1, cover.n):
+                count = counts[i][j] + counts[j][i]
+                unit = astrong_coeff_status(1, count, cover.mod)[1]
+                manifest["edges"].append(
+                    {"edge": [i + 1, j + 1], "count": count, "factor_index": unit,
+                     "prime_power": cover.mod.prime_powers[unit] if unit is not None else None}
+                )
+    except MemoryError:
+        raise ValueError(
+            f"not enough memory for the n x n = {cover.n} x {cover.n} edge counts"
+        ) from None
     serialize.dump(manifest, out_dir / "manifest.json")
     print(f"wrote {graphs} graphs and manifest to {out_dir}")
     return EXIT_OK

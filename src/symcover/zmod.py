@@ -119,8 +119,6 @@ def binom_mod(w: int, t: int, m: int) -> int:
     Never uses modular division: Z_m has zero divisors, so the quotient
     form of the binomial coefficient is not available there.
     """
-    if t > w:
-        return 0
     return math.comb(w, t) % m
 
 

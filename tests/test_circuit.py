@@ -24,6 +24,7 @@ from symcover.circuit import (
     size,
 )
 from symcover.astrong import target_coefficients
+from symcover.serialize import circuit_from_dict, circuit_to_dict
 
 M6 = factorize(6)
 M15 = factorize(15)
@@ -161,8 +162,14 @@ def test_expansion_is_the_cover_count_table(make):
         if count
     }
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
-    assert expand_coefficients(to_circuit(cover)).coeffs == expected
+    circuit = to_circuit(cover)
+    assert expand_coefficients(circuit).coeffs == expected
     assert cover_coefficients(cover).coeffs == expected
+    # read back, every gate holds forms of its own, as on the disk path
+    read_back = circuit_from_dict(circuit_to_dict(circuit))
+    forms = [f for g in read_back.gates for f in g.forms]
+    assert len({*map(id, forms)}) == len(forms)
+    assert expand_coefficients(read_back).coeffs == cover_coefficients(cover).coeffs
 
 
 def test_expand_budget():

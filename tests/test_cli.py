@@ -364,6 +364,18 @@ def test_export_rejects_box_cover(tmp_path):
     assert code == 2
 
 
+def test_export_reports_count_table_out_of_memory(tmp_path, capsys, monkeypatch):
+    def out_of_memory(cover):
+        raise MemoryError
+
+    monkeypatch.setattr("symcover.cli.multiplicity_table", out_of_memory)
+    cover = tmp_path / "cover.json"
+    assert main(["build", "--poly", "s2", "--n", "4", "--m", "15", "--out", str(cover)]) == 0
+    capsys.readouterr()
+    assert main(["export-dot", "--in", str(cover), "--out-dir", str(tmp_path / "d")]) == 2
+    assert "n x n = 4 x 4" in capsys.readouterr().err
+
+
 def test_export_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "cover.json"
     path.write_text("[" * 5000 + "]" * 5000)

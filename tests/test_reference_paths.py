@@ -1,4 +1,4 @@
-"""The counting expansion, the tallying a-strong check, the packed-row
+"""The product-loop expansion, the tallying a-strong check, the packed-row
 cell counts, the value-count property check and the exponent choice
 against the plain loops they replaced, kept here as reference
 implementations: same coefficient maps, same counts, same reports, same
@@ -169,7 +169,7 @@ def mixed_order_circuits(draw):
     """Gates whose forms are consecutive runs of the sorted variables,
     listed in any order (in order), and gates whose forms interleave or
     list their keys out of order, with one or several coefficient
-    classes per form."""
+    values per form."""
     groups = draw(GROUPS)
     n = draw(st.integers(2, 4))
     mod = draw(st.sampled_from(MODULI))
