@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
-from .coverkd import WeightedBoxCover, _counts
+from .coverkd import WeightedBoxCover, _counts, members
 
 VarId = tuple[str, int]
 Monomial = tuple[VarId, ...]
@@ -104,12 +104,12 @@ def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
         raise ValueError("cover has no modulus")
     space = VariableSpace(group_names(cover.k), cover.n)
     ids = [[(g, j) for j in range(cover.n + 1)] for g in space.groups]
-    shared: dict[tuple[int, frozenset[int], int], LinearForm] = {}
+    shared: dict[tuple[int, int, int], LinearForm] = {}
 
-    def form(l: int, part: frozenset[int], c: int) -> LinearForm:
+    def form(l: int, part: int, c: int) -> LinearForm:
         key = (l, part, c)
         if key not in shared:
-            shared[key] = LinearForm(dict.fromkeys(map(ids[l].__getitem__, sorted(part)), c))
+            shared[key] = LinearForm(dict.fromkeys(map(ids[l].__getitem__, members(part)), c))
         return shared[key]
 
     groups, ones = range(cover.k), [1] * (cover.k - 1)

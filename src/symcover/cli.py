@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .zmod import UnsupportedModulusError, astrong_coeff_status, factorize, mod_inverse
 from .cover2d import WeightedRectCover, build_s2_cover, multiplicity_table, verify_s2_properties
-from .coverkd import ConstructionError, build_sk_cover, verify_sk_properties
+from .coverkd import ConstructionError, build_sk_cover, members, verify_sk_properties
 from .circuit import (
     BudgetExceededError,
     cover_coefficients,
@@ -142,7 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     astrong_ok = True
     try:
         # the budget bounds the circuit's terms; its expansion is the cover's count table
-        parts = (map(len, box.parts) for box, _ in cover.items)
+        parts = (map(int.bit_count, box.parts) for box, _ in cover.items)
         require_budget(parts, len(cover.items), args.expansion_budget)
         expansion = cover_coefficients(cover)
         target = target_coefficients(cover.n, cover.k, ordered=True)
@@ -167,8 +167,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         cover = build_s2_cover(n, mod)
-        circuit = from_cover2d(cover)
-        s = size(circuit)
         rows.append(
             {
                 "n": n,
@@ -176,7 +174,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "h": cover.meta["h"],
                 "bbr_degree": cover.meta["bbr_degree"],
                 "distinct_rectangles": len(cover.items),
-                "graph_model_count": s.graph_model_count,
+                "graph_model_count": sum(w for _, w in cover.items),
                 "baseline_graham_pollack": n - 1,
                 "baseline_naive": math.comb(n, 2),
             }
@@ -231,7 +229,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         if csv_out:
             csv_out.write("graph_id,i,j\n")
         for idx, (rect, rep) in enumerate(reps):
-            rows, cols = sorted(rect.rows), sorted(rect.cols)
+            rows, cols = members(rect.parts[0]), members(rect.parts[1])
             for copy in range(1, rep + 1):
                 name = f"cover_{idx:04d}_{copy:02d}"
                 if csv_out:

@@ -31,6 +31,7 @@ from .coverkd import (
     _counts,
     _transform,
     box_multiplicity,
+    mask_of,
 )
 
 
@@ -55,11 +56,6 @@ class DigitScheme:
 
     def hamming(self, i: int, j: int) -> int:
         return sum(a != b for a, b in zip(self.digits_of(i), self.digits_of(j)))
-
-
-def Rectangle(rows: frozenset[int], cols: frozenset[int]) -> Box:
-    """The rectangle rows x cols as a two-part box."""
-    return Box((frozenset(rows), frozenset(cols)))
 
 
 def WeightedRectCover(
@@ -91,11 +87,11 @@ def initial_cover(n: int, mod: Modulus | None = None) -> WeightedBoxCover:
     scheme = digit_scheme(n)
     items: list[tuple[Box, int]] = []
     digits = {i: scheme.digits_of(i) for i in range(1, n + 1)}
+    full = (1 << (n + 1)) - 2  # every index 1..n
     for t in range(scheme.digits):
         for l in range(scheme.base):
-            rows = frozenset(i for i in digits if digits[i][t] == l)
-            cols = frozenset(j for j in digits if digits[j][t] != l)
-            rect = Rectangle(rows, cols)
+            rows = mask_of([i for i in digits if digits[i][t] == l])
+            rect = Box((rows, full ^ rows))
             if not rect.is_empty:
                 items.append((rect, 1))
     return WeightedRectCover(n, mod, items, {"N": scheme.base, "g": scheme.digits})

@@ -28,6 +28,7 @@ import operator
 import random
 import sys
 from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .zmod import Modulus, astrong_coeff_status
@@ -62,26 +63,52 @@ def _separates(row: tuple[int, ...], subset: tuple[int, ...]) -> bool:
     return len(set(values)) == len(values)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def members(mask: int) -> list[int]:
+    """The set bits of mask in ascending order: its binary digits, lowest
+    first, as 0/1 bytes select the positions to keep."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
+    return [*itertools.compress(itertools.count(), bits)]
+
+
+def mask_of(indices: Collection[int]) -> int:
+    """The int with bit j set for each index j >= 0: one "1" digit is
+    placed per index, and the digits are read at once."""
+    digits = bytearray(b"0") * (max(indices, default=0) + 1)
+    for j in indices:
+        digits[j] = 49  # "1"
+    return int(digits[::-1], 2)
+
+
 @dataclass(frozen=True)
 class Box:
-    parts: tuple[frozenset[int], ...]
+    """A product of k index sets: bit j of part l is set when index j is in it."""
+
+    parts: tuple[int, ...]
+
+    @classmethod
+    def of(cls, *parts: Collection[int]) -> "Box":
+        """The box with these index sets as its parts."""
+        return cls(tuple(map(mask_of, parts)))
 
     @property
     def rows(self) -> frozenset[int]:
-        """First part: a rectangle's row set."""
-        return self.parts[0]
+        """First part's indices: a rectangle's row set."""
+        return frozenset(members(self.parts[0]))
 
     @property
     def cols(self) -> frozenset[int]:
-        """Second part: a rectangle's column set."""
-        return self.parts[1]
+        """Second part's indices: a rectangle's column set."""
+        return frozenset(members(self.parts[1]))
 
     @property
     def is_empty(self) -> bool:
-        return any(not part for part in self.parts)
+        return not all(self.parts)
 
     def contains(self, tup: tuple[int, ...]) -> bool:
-        return all(j in part for j, part in zip(tup, self.parts))
+        return all(part >> j & 1 for j, part in zip(tup, self.parts))
 
     def intersect(self, other: "Box") -> "Box":
         return Box(tuple(a & b for a, b in zip(self.parts, other.parts)))
@@ -210,9 +237,7 @@ def initial_box_cover(h: HashMatrix, mod: Modulus | None = None) -> WeightedBoxC
     """
     items: list[tuple[Box, int]] = []
     for row in h.rows:
-        by_value: dict[int, frozenset[int]] = {}
-        for v in range(h.b):
-            by_value[v] = frozenset(j for j in range(1, h.n + 1) if row[j - 1] == v)
+        by_value = [mask_of([j for j, x in enumerate(row, 1) if x == v]) for v in range(h.b)]
         for sigma in itertools.permutations(range(h.b), h.k):
             box = Box(tuple(by_value[v] for v in sigma))
             if not box.is_empty:
@@ -236,20 +261,6 @@ def box_multiplicity_table(cover: WeightedBoxCover) -> dict[tuple[int, ...], int
         m = cover.mod.m
         return {tup: v % m for tup, v in table.items()}
     return table
-
-
-def _bitmask(indices: frozenset[int]) -> int:
-    return sum(1 << i for i in indices)
-
-
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _unmask(mask: int) -> frozenset[int]:
-    """The set bits of mask: its binary digits, lowest first, as 0/1 bytes
-    select the positions to keep."""
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
-    return frozenset(itertools.compress(itertools.count(), bits))
 
 
 def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
@@ -288,23 +299,24 @@ def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCo
     if any(w != 1 for _, w in cover.items):
         raise ValueError("transformation expects a unit-weight cover")
 
-    masks = [tuple(_bitmask(part) for part in box.parts) for box, _ in cover.items]
+    masks = [box.parts for box, _ in cover.items]
+    listed = functools.cache(members)  # input parts repeat across items
     # holders[l][j]: the items whose part l holds index j
     holders = [[0] * (cover.n + 1) for _ in range(cover.k)]
-    for idx, (box, _) in enumerate(cover.items):
-        for holder, part in zip(holders, box.parts):
-            for j in part:
+    for idx, parts in enumerate(masks):
+        for holder, part in zip(holders, parts):
+            for j in listed(part):
                 holder[j] |= 1 << idx
     meeting = []
-    for box, _ in cover.items:
+    for parts in masks:
         meets = -1
-        for holder, part in zip(holders, box.parts):
-            meets &= functools.reduce(operator.or_, map(holder.__getitem__, part), 0)
+        for holder, part in zip(holders, parts):
+            meets &= functools.reduce(operator.or_, map(holder.__getitem__, listed(part)), 0)
         meeting.append(meets)
     out: list[tuple[Box, int]] = []
     # output boxes repeat few distinct parts (hash-family boxes above all),
-    # so each distinct part is built once and shared; the memo dies with this call
-    part_of = functools.cache(_unmask)
+    # so each distinct mask is kept once and shared; the dict dies with this call
+    shared: dict[int, int] = {}
 
     def extend(cands: int, depth: int, current: tuple[int, ...]) -> None:
         size = depth + 1
@@ -321,7 +333,7 @@ def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCo
                 merged.append(c)
             else:
                 if coeff != 0:
-                    out.append((Box(tuple(map(part_of, merged))), coeff))
+                    out.append((Box(tuple(map(shared.setdefault, merged, merged))), coeff))
                 if size < f.degree:
                     extend(cands & meeting[idx], size, tuple(merged))
 
@@ -344,52 +356,44 @@ def field_width(total: int) -> int:
     return next((b for b in (1, 2, 4, 8) if total < 1 << 8 * b), -(-total.bit_length() // 8))
 
 
-def pack(flags: bytes, width: int) -> int:
-    """One int of len(flags) fields of width bytes, lowest field first,
-    holding 1 in each field whose flag is 1 and 0 elsewhere."""
-    fields = bytearray(len(flags) * width)
-    fields[::width] = flags
-    return int.from_bytes(fields, "little")
-
-
-def unpack(raw: bytes, width: int) -> array.array:
-    """The fields of packed little-endian bytes, each 1, 2, 4 or 8 bytes wide."""
-    fields = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
-    fields.frombytes(raw)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields
-
-
 def _counts(cover: WeightedBoxCover) -> array.array:
     """Raw weighted counts of all n**k cells, flat and row-major: cell
     (j_1, ..., j_k) sits at index sum of (j_l - 1) * n**(k - l).
 
     Each row (j_1, ..., j_{k-1}) is one int of n fixed-width fields, wide
     enough for the sum of all weights, so no field carries into the next.
-    An item's last part is packed with its weight in every member field;
-    the packed parts of items with equal first k - 1 parts are summed, and
-    the sum is added to each row those parts span."""
+    An item's last part is packed with its weight in the field of each
+    index it holds; the packed parts of items with equal first k - 1 parts
+    are summed, and the sum is added to each row those parts span.  The
+    rows' little-endian bytes are read back as one array of counts."""
     n, k = cover.n, cover.k
     total = sum(w for _, w in cover.items)
     width = field_width(total)
     if width > 8:
         raise ValueError(f"weights summing to {total} overflow a 64-bit count")
-    packed: dict[tuple[frozenset[int], int], int] = {}
-    by_heads: defaultdict[tuple[frozenset[int], ...], int] = defaultdict(int)
+    packed: dict[tuple[int, int], int] = {}
+    listed = functools.cache(members)  # the memo dies with this call
+    by_heads: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for box, w in cover.items:
         key = (box.parts[-1], w)
         if key not in packed:
-            packed[key] = pack(bytes(map(key[0].__contains__, range(1, n + 1))), width) * w
+            flags = bin(key[0] >> 1)[:1:-1].encode().translate(_BIT_VALUES)
+            fields = bytearray(n * width)
+            fields[::width] = flags.ljust(n, b"\0")  # field j - 1 holds bit j
+            packed[key] = int.from_bytes(fields, "little") * w
         by_heads[box.parts[:-1]] += packed[key]
     rows = [0] * n ** (k - 1)
     for heads, add in by_heads.items():
         bases = [0]
         for part in heads:
-            bases = [b * n + j - 1 for b in bases for j in part]
+            bases = [b * n + j - 1 for b in bases for j in listed(part)]
         for b in bases:
             rows[b] += add
-    return unpack(b"".join(r.to_bytes(n * width, "little") for r in rows), width)
+    counts = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
+    counts.frombytes(b"".join(r.to_bytes(n * width, "little") for r in rows))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return counts
 
 
 def _cell(index: int, n: int, k: int) -> tuple[int, ...]:

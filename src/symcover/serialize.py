@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .zmod import Modulus, factorize
-from .coverkd import Box, WeightedBoxCover
+from .coverkd import Box, WeightedBoxCover, mask_of, members
 from .circuit import (
     Gate,
     LinearForm,
@@ -58,10 +58,10 @@ def _header(data: dict, kinds: tuple[str, ...]) -> tuple[str, int, Modulus]:
 
 def cover_to_dict(cover: WeightedBoxCover) -> dict:
     """kind "rect" for k = 2 covers, "box" otherwise.  Equal parts share
-    one sorted index list, so the writer can reuse its text."""
+    one ascending index list, so the writer can reuse its text."""
     if cover.mod is None:
         raise ValueError("only covers with a modulus are serialized")
-    sort = functools.cache(sorted)  # the memo dies with this call
+    listed = functools.cache(members)  # the memo dies with this call
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "rect" if cover.k == 2 else "box",
@@ -69,7 +69,7 @@ def cover_to_dict(cover: WeightedBoxCover) -> dict:
         "k": cover.k,
         **_mod_fields(cover.mod),
         "items": [
-            {"parts": [*map(sort, box.parts)], "weight": w}
+            {"parts": [*map(listed, box.parts)], "weight": w}
             for box, w in cover.items
         ],
         "meta": cover.meta,
@@ -95,26 +95,28 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
         if k > n:
             raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
         items = []
-        # one frozenset per distinct part, shared by every item that names it;
-        # only its first occurrence is range-checked
-        checked: dict[frozenset[int], frozenset[int]] = {}
+        # one mask per distinct index list, shared by every item that names
+        # it; only its first occurrence is range-checked
+        masks: dict[tuple[int, ...], int] = {}
         for pos, d in enumerate(data["items"]):
             parts, w = d["parts"], d["weight"]
             if len(parts) != k:
                 raise SchemaError(f"item {pos} has {len(parts)} parts, k = {k}")
             if type(w) is not int or not 1 <= w < mod.m:
                 raise SchemaError(f"item {pos} weight {w!r} is not in 1..{mod.m - 1}")
-            sets = [*map(frozenset, parts)]
-            for i, (p, part) in enumerate(zip(parts, sets)):
-                # before the lookup: frozenset({True}) == frozenset({1})
+            box = []
+            for p in parts:
+                # before the lookup: (True,) == (1,)
                 if not {*map(type, p)} <= {int}:
                     raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
-                sets[i] = shared = checked.setdefault(part, part)
-                if shared is part and part and not (1 <= min(part) and max(part) <= n):
-                    raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
-                if len(part) != len(p):
-                    raise SchemaError(f"item {pos} repeats an index in part {p}")
-            items.append((Box(tuple(sets)), w))
+                if (key := tuple(p)) not in masks:
+                    if p and not (1 <= min(p) and max(p) <= n):
+                        raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
+                    masks[key] = mask_of(p)
+                    if masks[key].bit_count() != len(p):
+                        raise SchemaError(f"item {pos} repeats an index in part {p}")
+                box.append(masks[key])
+            items.append((Box(tuple(box)), w))
         # the check counts cells in fields of at most 64 bits
         total = sum(w for _, w in items)
         if total >= 2**64:

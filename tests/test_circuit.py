@@ -3,7 +3,7 @@ import random
 import pytest
 
 from symcover.zmod import NotInvertibleError, factorize
-from symcover.cover2d import Rectangle, WeightedRectCover, build_s2_cover, multiplicity
+from symcover.cover2d import WeightedRectCover, build_s2_cover, multiplicity
 from symcover.coverkd import Box, WeightedBoxCover, box_multiplicity_table, build_sk_cover
 from symcover.circuit import (
     BudgetExceededError,
@@ -40,8 +40,8 @@ def test_from_cover2d_gates():
         4,
         M6,
         [
-            (Rectangle(frozenset({1}), frozenset({2})), 4),
-            (Rectangle(frozenset({1, 2}), frozenset({3})), 1),
+            (Box.of({1}, {2}), 4),
+            (Box.of({1, 2}, {3}), 1),
         ],
     )
     c = from_cover2d(cover)
@@ -138,7 +138,7 @@ def _hand_built_k10_cover():
     rng = random.Random(10)
     mod, n, k = M35, 3, 10
     parts = lambda: frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
-    items = [(Box(tuple(parts() for _ in range(k))), rng.randint(1, mod.m - 1)) for _ in range(8)]
+    items = [(Box.of(*(parts() for _ in range(k))), rng.randint(1, mod.m - 1)) for _ in range(8)]
     return WeightedBoxCover(n, k, mod, items)
 
 

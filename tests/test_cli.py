@@ -7,7 +7,8 @@ import pytest
 from symcover import serialize
 from symcover.cli import main
 from symcover.zmod import factorize, mod_inverse
-from symcover.circuit import expand_coefficients, from_cover2d
+from symcover.circuit import expand_coefficients, from_cover2d, size
+from symcover.cover2d import build_s2_cover
 from symcover.astrong import check_astrong, target_coefficients
 
 
@@ -256,6 +257,10 @@ def test_report(tmp_path, capsys):
         assert int(row["baseline_graham_pollack"]) == n - 1
         assert int(row["baseline_naive"]) == n * (n - 1) // 2
         assert all(int(row[c]) > 0 for c in header)
+        # the sizes are read off the cover, as its circuit would give them
+        s = size(from_cover2d(build_s2_cover(n, factorize(6))))
+        assert int(row["distinct_rectangles"]) == s.products
+        assert int(row["graph_model_count"]) == s.graph_model_count
 
 
 def test_report_rejects_bad_range(tmp_path):

@@ -4,8 +4,8 @@ import pytest
 
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, weight_value
+from symcover.coverkd import Box
 from symcover.cover2d import (
-    Rectangle,
     WeightedRectCover,
     build_s2_cover,
     digit_scheme,
@@ -39,7 +39,7 @@ def test_digit_scheme_capacity():
 def test_initial_cover_n4():
     cover = initial_cover(4, M6)
     # Least-significant digits of 1..4 in base 2 are 1,0,1,0.
-    assert (Rectangle(frozenset({2, 4}), frozenset({1, 3})), 1) in cover.items
+    assert (Box.of({2, 4}, {1, 3}), 1) in cover.items
     assert multiplicity(cover, 1, 2) == 2  # 001 vs 010 differ twice
     for i in range(1, 5):
         assert multiplicity(cover, i, i) == 0
@@ -71,7 +71,7 @@ def test_initial_cover_bounds():
 def test_multiplicity_basic():
     empty = WeightedRectCover(4, M6, [])
     assert multiplicity(empty, 1, 2) == 0
-    single = WeightedRectCover(4, M6, [(Rectangle(frozenset({1}), frozenset({2})), 4)])
+    single = WeightedRectCover(4, M6, [(Box.of({1}, {2}), 4)])
     assert multiplicity(single, 1, 2) == 4
     assert multiplicity(single, 2, 1) == 0
     with pytest.raises(ValueError):
@@ -81,9 +81,9 @@ def test_multiplicity_basic():
 
 
 def test_rectangle_intersection_algebra():
-    a = Rectangle(frozenset({1, 2}), frozenset({3, 4}))
-    b = Rectangle(frozenset({2, 3}), frozenset({4}))
-    assert a.intersect(b) == Rectangle(frozenset({2}), frozenset({4}))
+    a = Box.of({1, 2}, {3, 4})
+    b = Box.of({2, 3}, {4})
+    assert a.intersect(b) == Box.of({2}, {4})
 
 
 def _brute_transform_multiplicity(cover, f, i, j):
@@ -133,7 +133,7 @@ def test_transform_rejects_bad_inputs():
     with pytest.raises(ValueError, match="constant"):
         transform(cover, SymmetricPolynomial(len(cover.items), (1, 1), M6))
     weighted = WeightedRectCover(
-        4, M6, [(Rectangle(frozenset({1}), frozenset({2})), 2)]
+        4, M6, [(Box.of({1}, {2}), 2)]
     )
     with pytest.raises(ValueError, match="unit-weight"):
         transform(weighted, SymmetricPolynomial(1, (0, 1), M6))
@@ -189,7 +189,7 @@ def test_verify_examples():
     report = verify_s2_properties(base)
     assert not report.ok  # Hamming-distance counts are not unit-pattern mod 6
 
-    diag = WeightedRectCover(2, M6, [(Rectangle(frozenset({1}), frozenset({1})), 1)])
+    diag = WeightedRectCover(2, M6, [(Box.of({1}, {1}), 1)])
     report = verify_s2_properties(diag)
     assert not report.ok
     assert any(v.cell == (1, 1) for v in report.violations)
@@ -198,13 +198,13 @@ def test_verify_examples():
     n = 4
     for cell in [(1, n), (n, 1), (n, n)]:
         items = [
-            (Rectangle(frozenset({i}), frozenset({j})), 1)
+            (Box.of({i}, {j}), 1)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             if i != j and (i, j) != cell
         ]
         if cell == (n, n):
-            items.append((Rectangle(frozenset({n}), frozenset({n})), 1))
+            items.append((Box.of({n}, {n}), 1))
         report = verify_s2_properties(WeightedRectCover(n, M6, items))
         assert [v.cell for v in report.violations] == [cell]
         assert report.checked == n * n
@@ -237,9 +237,7 @@ def test_known_mutation_blind_spot():
     # constructed one; detection of arbitrary single-weight edits cannot
     # be promised in general.
     cover = build_s2_cover(16, M6)
-    blind = Rectangle(
-        frozenset({16}), frozenset({5, 6, 7, 9, 10, 11, 13, 14, 15})
-    )
+    blind = Box.of({16}, {5, 6, 7, 9, 10, 11, 13, 14, 15})
     idx = next(i for i, (r, _) in enumerate(cover.items) if r == blind)
     items = list(cover.items)
     rect, w = items[idx]

@@ -2,7 +2,9 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from symcover import serialize
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, bbr_construct, weight_value
 from symcover.cover2d import build_s2_cover, initial_cover, transform
@@ -16,6 +18,7 @@ from symcover.coverkd import (
     build_hash_family,
     build_sk_cover,
     initial_box_cover,
+    members,
     rect_as_box_cover,
     transform_boxes,
     verify_hash_family,
@@ -73,7 +76,7 @@ def test_build_hash_family_errors():
 def test_initial_box_cover_reads_off_rows():
     cover = initial_box_cover(PAIRS_MATRIX, M6)
     # Row 2 is (0,1,0,1): columns hashed to 0 are {1,3}, to 1 are {2,4}.
-    assert (Box((frozenset({1, 3}), frozenset({2, 4}))), 1) in cover.items
+    assert (Box.of({1, 3}, {2, 4}), 1) in cover.items
     assert cover.meta["u"] == 2
 
 
@@ -97,7 +100,7 @@ def test_box_multiplicity_basic():
     empty = WeightedBoxCover(4, 2, M6, [])
     assert box_multiplicity(empty, (1, 2)) == 0
     single = WeightedBoxCover(
-        4, 2, M6, [(Box((frozenset({1}), frozenset({2}))), 5)]
+        4, 2, M6, [(Box.of({1}, {2}), 5)]
     )
     assert box_multiplicity(single, (1, 2)) == 5
     assert box_multiplicity(single, (2, 1)) == 0
@@ -108,9 +111,67 @@ def test_box_multiplicity_basic():
 
 
 def test_box_intersection_componentwise():
-    a = Box((frozenset({1, 2}), frozenset({3, 4}), frozenset({5})))
-    b = Box((frozenset({2}), frozenset({3}), frozenset({5, 6})))
-    assert a.intersect(b) == Box((frozenset({2}), frozenset({3}), frozenset({5})))
+    a = Box.of({1, 2}, {3, 4}, {5})
+    b = Box.of({2}, {3}, {5, 6})
+    assert a.intersect(b) == Box.of({2}, {3}, {5})
+
+
+@st.composite
+def index_set_boxes(draw):
+    """n, k and two boxes as tuples of k index sets over 1..n, empty sets
+    included, with tuples of 1..n to probe them at."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    part = st.frozensets(st.integers(1, n))
+    a, b = (draw(st.tuples(*[part] * k)) for _ in range(2))
+    probes = draw(st.lists(st.tuples(*[st.integers(1, n)] * k), max_size=30))
+    return n, k, a, b, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_set_boxes())
+def test_mask_boxes_agree_with_index_sets(case):
+    n, k, a, b, probes = case
+    box_a, box_b = Box.of(*a), Box.of(*b)
+    assert all(type(part) is int for part in box_a.parts)
+    assert [members(part) for part in box_a.parts] == [sorted(s) for s in a]
+    assert box_a.rows == a[0] and box_a.cols == a[1]
+    assert box_a.is_empty == any(not s for s in a)
+    meet = tuple(x & y for x, y in zip(a, b))
+    assert box_a.intersect(box_b) == Box.of(*meet)
+    assert box_a.intersect(box_b).is_empty == any(not s for s in meet)
+    for tup in probes + [tuple(min(s, default=1) for s in a)]:
+        assert box_a.contains(tup) == all(j in s for j, s in zip(tup, a))
+
+
+@st.composite
+def weighted_covers(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 12))
+    mod = factorize(draw(st.sampled_from([6, 35, 385])))
+    part = st.frozensets(st.integers(1, n))
+    boxes = st.tuples(*[part] * k).map(lambda parts: Box.of(*parts))
+    items = draw(st.lists(st.tuples(boxes, st.integers(1, mod.m - 1)), max_size=10))
+    return WeightedBoxCover(n, k, mod, items, {"seed": 0})
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_covers())
+def test_cover_round_trips_through_its_dict(cover):
+    loaded = serialize.cover_from_dict(serialize.cover_to_dict(cover))
+    assert (loaded.n, loaded.k, loaded.mod) == (cover.n, cover.k, cover.mod)
+    assert loaded.items == cover.items
+
+
+def test_transform_keeps_one_int_per_distinct_part():
+    h = build_hash_family(12, 3, 6, seed=3)
+    base = initial_box_cover(h, M35)
+    out = transform_boxes(base, bbr_construct(M35, d=h.u, ell=len(base.items)))
+    parts = [part for box, _ in out.items for part in box.parts]
+    distinct = set(parts)
+    # ints above 256 are not cached by the interpreter: only the transform shares them
+    assert max(distinct) > 256 and len(distinct) < len(parts) // 100
+    assert len({*map(id, parts)}) == len(distinct)
 
 
 def test_transform_boxes_matches_weight_values():
@@ -227,7 +288,7 @@ def test_cross_validation_with_rect_pipeline():
 def test_repeated_index_tuples_flagged_when_covered():
     # A box with overlapping parts covers (1, 1); the verifier must flag it.
     bad = WeightedBoxCover(
-        3, 2, M6, [(Box((frozenset({1, 2}), frozenset({1, 3}))), 1)]
+        3, 2, M6, [(Box.of({1, 2}, {1, 3}), 1)]
     )
     report = verify_sk_properties(bad)
     assert not report.ok
@@ -239,12 +300,12 @@ def test_repeated_index_tuples_flagged_when_covered():
     n = 3
     for cell in [(1, 2, n), (n, 2, 1), (n, n, n), (1, n, 1)]:
         items = [
-            (Box(tuple(frozenset({j}) for j in tup)), 1)
+            (Box.of(*({j} for j in tup)), 1)
             for tup in itertools.permutations(range(1, n + 1), 3)
             if tup != cell
         ]
         if len(set(cell)) < 3:
-            items.append((Box(tuple(frozenset({j}) for j in cell)), 1))
+            items.append((Box.of(*({j} for j in cell)), 1))
         report = verify_sk_properties(WeightedBoxCover(n, 3, M6, items))
         assert [v.cell for v in report.violations] == [cell]
         assert report.checked == n**3

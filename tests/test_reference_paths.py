@@ -351,8 +351,8 @@ def reference_counts(cover):
     for box, w in cover.items:
         bases = [0]
         for part in box.parts[:-1]:
-            bases = [(b + j - 1) * n for b in bases for j in part]
-        last = [j - 1 for j in box.parts[-1]]
+            bases = [(b + j - 1) * n for b in bases for j in range(1, n + 1) if part >> j & 1]
+        last = [j - 1 for j in range(1, n + 1) if box.parts[-1] >> j & 1]
         for b in bases:
             for j in last:
                 counts[b + j] += w
@@ -402,7 +402,7 @@ def box_covers(draw):
     mod = factorize(draw(st.sampled_from([6, 35, 385])))
     part = st.frozensets(st.integers(1, n))
     items = draw(st.lists(
-        st.tuples(st.tuples(*[part] * k).map(Box), st.integers(1, mod.m - 1)),
+        st.tuples(st.tuples(*[part] * k).map(lambda parts: Box.of(*parts)), st.integers(1, mod.m - 1)),
         max_size=12,
     ))
     return WeightedBoxCover(n, k, mod, items)
@@ -424,7 +424,7 @@ def cancelling_box_covers(draw):
     mod = factorize(draw(st.sampled_from([6, 35, 385])))
     part = st.frozensets(st.integers(1, n))
     items = draw(st.lists(
-        st.tuples(st.tuples(*[part] * k).map(Box), st.integers(1, mod.m - 1)),
+        st.tuples(st.tuples(*[part] * k).map(lambda parts: Box.of(*parts)), st.integers(1, mod.m - 1)),
         max_size=10,
     ))
     cancelled = draw(st.lists(st.sampled_from(items), max_size=len(items))) if items else []
@@ -445,10 +445,10 @@ def test_counts_match_reference_at_every_field_width(k, total):
     # every cell counts total - 1, except (1, ..., 1), which counts total
     n = 3
     mod = factorize(6 * 2**32 if total > 2**16 else 385)
-    full = Box((frozenset(range(1, n + 1)),) * k)
+    full = Box.of(*[range(1, n + 1)] * k)
     weights = [mod.m - 1] * ((total - 1) // (mod.m - 1))
     weights.append(total - 1 - sum(weights))
-    items = [(full, w) for w in weights if w] + [(Box((frozenset({1}),) * k), 1)]
+    items = [(full, w) for w in weights if w] + [(Box.of(*[{1}] * k), 1)]
     cover = WeightedBoxCover(n, k, mod, items)
     assert _counts(cover).itemsize == next(b for b in (1, 2, 4, 8) if total < 256**b)
     assert_same_counts_and_report(cover)
@@ -456,7 +456,7 @@ def test_counts_match_reference_at_every_field_width(k, total):
 
 def test_counts_reject_a_weight_sum_beyond_64_bits():
     mod = factorize(6 * 2**64)
-    cover = WeightedBoxCover(2, 2, mod, [(Box((frozenset({1}), frozenset({2}))), 2**64)])
+    cover = WeightedBoxCover(2, 2, mod, [(Box.of({1}, {2}), 2**64)])
     with pytest.raises(ValueError, match="64-bit"):
         _counts(cover)
 
@@ -465,7 +465,7 @@ def test_a_failing_count_on_repeated_and_distinct_cells_is_found():
     # 0 sits on the diagonal cells (1, 1) and (3, 3) and on (1, 2); 2 sits
     # on (2, 2) and (2, 1): each count also held by a repeated-index cell
     mod = factorize(6)
-    rect = lambda rows, cols: Box((frozenset(rows), frozenset(cols)))
+    rect = lambda rows, cols: Box.of(rows, cols)
     items = [
         (rect({1}, {3}), 1), (rect({2}, {1, 3}), 1), (rect({3}, {1, 2}), 1),
         (rect({2}, {2}), 2), (rect({2}, {1}), 1),

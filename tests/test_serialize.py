@@ -41,7 +41,7 @@ def test_box_cover_round_trip(tmp_path):
     loaded = serialize.cover_from_dict(data)
     assert loaded.k == 3
     assert loaded.items == cover.items
-    # equal parts share one sorted list when written and one frozenset when read
+    # equal parts share one sorted list when written and one mask when read
     written = [p for item in data["items"] for p in item["parts"]]
     read = [p for box, _ in loaded.items for p in box.parts]
     distinct = len(set(read))
