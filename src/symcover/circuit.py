@@ -109,7 +109,7 @@ def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
     def form(l: int, part: int, c: int) -> LinearForm:
         key = (l, part, c)
         if key not in shared:
-            shared[key] = LinearForm(dict.fromkeys(map(ids[l].__getitem__, members(part)), c))
+            shared[key] = LinearForm(dict.fromkeys(members(part, ids[l]), c))
         return shared[key]
 
     groups, ones = range(cover.k), [1] * (cover.k - 1)

@@ -28,7 +28,7 @@ import operator
 import random
 import sys
 from collections import defaultdict
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 
 from .zmod import Modulus, astrong_coeff_status
@@ -66,17 +66,19 @@ def _separates(row: tuple[int, ...], subset: tuple[int, ...]) -> bool:
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def members(mask: int) -> list[int]:
-    """The set bits of mask in ascending order: its binary digits, lowest
-    first, as 0/1 bytes select the positions to keep."""
+def members(mask: int, values: Sequence | None = None) -> list:
+    """The set bits of mask in ascending order, or the entries of values
+    there: its binary digits, lowest first, as 0/1 bytes select the
+    positions to keep, so a table for values makes no object per index."""
     bits = bin(mask)[:1:-1].encode().translate(_BIT_VALUES)
-    return [*itertools.compress(itertools.count(), bits)]
+    return [*itertools.compress(itertools.count() if values is None else values, bits)]
 
 
 def mask_of(indices: Collection[int]) -> int:
     """The int with bit j set for each index j >= 0: one "1" digit is
-    placed per index, and the digits are read at once."""
-    digits = bytearray(b"0") * (max(indices, default=0) + 1)
+    placed per index, and the digits are read at once.  (Made as bytes:
+    a bytearray repeat out of memory also prints a SystemError line.)"""
+    digits = bytearray(b"0" * (max(indices, default=0) + 1))
     for j in indices:
         digits[j] = 49  # "1"
     return int(digits[::-1], 2)

@@ -58,10 +58,11 @@ def _header(data: dict, kinds: tuple[str, ...]) -> tuple[str, int, Modulus]:
 
 def cover_to_dict(cover: WeightedBoxCover) -> dict:
     """kind "rect" for k = 2 covers, "box" otherwise.  Equal parts share
-    one ascending index list, so the writer can reuse its text."""
+    one ascending list of one table's ints, so the writer can reuse its text."""
     if cover.mod is None:
         raise ValueError("only covers with a modulus are serialized")
-    listed = functools.cache(members)  # the memo dies with this call
+    table = [*range(cover.n + 1)]
+    listed = functools.cache(lambda mask: members(mask, table))  # the memo dies with this call
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "rect" if cover.k == 2 else "box",
@@ -112,7 +113,10 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
                 if (key := tuple(p)) not in masks:
                     if p and not (1 <= min(p) and max(p) <= n):
                         raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
-                    masks[key] = mask_of(p)
+                    try:
+                        masks[key] = mask_of(p)
+                    except MemoryError:
+                        raise SchemaError(f"not enough memory to mask a part of n = {n}") from None
                     if masks[key].bit_count() != len(p):
                         raise SchemaError(f"item {pos} repeats an index in part {p}")
                 box.append(masks[key])
@@ -221,13 +225,20 @@ def _members(value, inner: str) -> tuple[list[str], list, str]:
     return heads, value, "]"
 
 
-def _text(value, indent: str, memo: dict) -> str:
+class _Memo(dict):
+    """A dump's memo: shared lists' texts by (id, indent), ints' texts by value."""
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = str(i)
+        return text
+
+
+def _text(value, indent: str, memo: _Memo) -> str:
     """The whole text of `value` nested at `indent`.  A list of scalars is
-    joined at C speed.  Covers share equal parts and circuits share equal
-    forms, so `memo` marks each int list and each list of [group, index,
-    coefficient] triples by (id, indent) when first seen and keeps its
-    text from the second sighting on; a member found there is not
-    encoded again."""
+    joined at C speed, an int list from the memo's int texts.  Covers and
+    circuits share equal parts and forms, so `memo` marks each int list and
+    each list of [group, index, coefficient] triples by (id, indent) when
+    first seen and keeps its text from the second sighting on."""
     if not value or not isinstance(value, (dict, list, tuple)):
         return _scalar(value)
     inner = indent + "  "
@@ -236,7 +247,7 @@ def _text(value, indent: str, memo: dict) -> str:
         types = {*map(type, value)}
         if types <= _SCALARS:
             ints = types == {int}
-            body = f",\n{inner}".join(map(str if ints else _scalar, value))
+            body = f",\n{inner}".join(map(memo.__getitem__ if ints else _scalar, value))
             text = f"[\n{inner}{body}\n{indent}]"
             return _mark(memo, value, indent, text) if ints else text
         # a form: a list of lists whose first holds a str, the group name
@@ -247,7 +258,7 @@ def _text(value, indent: str, memo: dict) -> str:
     return _mark(memo, value, indent, text) if form else text
 
 
-def _mark(memo: dict, value, indent: str, text: str) -> str:
+def _mark(memo: _Memo, value, indent: str, text: str) -> str:
     """Mark a value that may be shared when first seen; keep its text
     from the second sighting on."""
     key = (id(value), indent)
@@ -255,17 +266,34 @@ def _mark(memo: dict, value, indent: str, text: str) -> str:
     return text
 
 
-def _pieces(value, indent: str, memo: dict, depth: int):
+def _item(record, indent: str, memo: _Memo) -> str | None:
+    """The text of a record that is exactly {"parts": <non-empty list of
+    lists>, "weight": <int>}, a cover item, through one template, else None."""
+    if type(record) is not dict or record.keys() != {"parts", "weight"}:
+        return None
+    parts, weight = record["parts"], record["weight"]
+    if type(weight) is not int or type(parts) is not list or {*map(type, parts)} != {list}:
+        return None
+    inner = indent + "    "
+    texts = [memo.get((id(part), inner)) or _text(part, inner, memo) for part in parts]
+    return (f'{{\n{indent}  "parts": [\n{inner}' + f",\n{inner}".join(texts)
+            + f'\n{indent}  ],\n{indent}  "weight": {weight}\n{indent}}}')
+
+
+def _pieces(value, indent: str, memo: _Memo, depth: int):
     """The text of `value` in pieces: containers are streamed a member at
-    a time down `depth` levels, and each member below is one piece."""
-    if not depth or not value or not isinstance(value, (dict, list, tuple)):
+    a time down `depth` levels, and each member below, a record, is one piece."""
+    if not value or not isinstance(value, (dict, list, tuple)):
         yield _text(value, indent, memo)
         return
     inner = indent + "  "
     heads, values, close = _members(value, inner)
     for head, item in zip(heads, values):
         yield head
-        yield from _pieces(item, inner, memo, depth - 1)
+        if depth > 1:
+            yield from _pieces(item, inner, memo, depth - 1)
+        else:
+            yield _item(item, inner, memo) or _text(item, inner, memo)
     yield f"\n{indent}{close}"
 
 
@@ -275,7 +303,7 @@ def dump(data: dict, path: str | Path) -> None:
     gates, edges), streamed one record at a time, so its whole text is
     never held at once.  Keys must be str."""
     with open(path, "w") as fh:
-        fh.writelines(_pieces(data, "", {}, 2))
+        fh.writelines(_pieces(data, "", _Memo(), 2))
         fh.write("\n")
 
 

@@ -7,12 +7,13 @@ from hypothesis import example, given, strategies as st
 from symcover.cli import main
 from symcover.zmod import factorize
 from symcover.cover2d import build_s2_cover
-from symcover.coverkd import build_sk_cover
+from symcover.coverkd import Box, WeightedBoxCover, build_sk_cover, members
 from symcover.circuit import (
     expand_coefficients,
     from_cover2d,
     from_coverkd,
     evaluate,
+    group_names,
     identify_variables_and_scale,
     naive_ordered_snk_circuit,
     naive_snk_circuit,
@@ -221,8 +222,15 @@ def test_variable_shared_across_forms_is_left_to_the_expansion():
          "00ca80afbb765a81eb0ad01c4ca1a65b3af812122608fa78fa80b24c80c4cb57"),
         (["sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "7"],
          "29fdb0ff555d2cb6603b72d017302e353244fd79f50d8140221f7c5baf6047bc"),
+        # the benchmark's three workloads
+        (["s2", "--n", "2048", "--m", "6"],
+         "cf10a4031c8245e26f5a198aa0ccc0ccfcaae8819036d264d2e97d8a60ed0221"),
+        (["s2", "--n", "512", "--m", "35"],
+         "be89456a27c7f7ca179d0f06bc44d0232f7a21123c7f8c7b5ce009dc8f0f39f6"),
+        (["sk", "--n", "10", "--k", "4", "--m", "385", "--seed", "0"],
+         "3bc759312a385442ab5b43ae0634b4b7b54a83c404983c2ddb2d137c2e27bdcb"),
     ],
-    ids=["s2-16-6", "s2-64-15", "sk-8-3-35"],
+    ids=["s2-16-6", "s2-64-15", "sk-8-3-35", "s2-2048-6", "s2-512-35", "sk-10-4-385"],
 )
 def test_artifact_bytes_are_pinned(tmp_path, capsys, args, sha256):
     path = tmp_path / "cover.json"
@@ -280,6 +288,77 @@ def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared, fo
     ):
         serialize.dump(data, path)
         assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _spoiled(item: dict):
+    """One defect away from a cover item: a third key or a missing one, a
+    bool or float weight, empty parts, or one part replaced by an empty
+    list, a list holding a bool or a negative or huge int, or a value that
+    is not a list."""
+    parts, weight = item["parts"], item["weight"]
+    odd_part = st.just([]) | _int_lists | _scalars | st.dictionaries(st.text(), _scalars)
+    return st.one_of(
+        _scalars.map(lambda extra: {**item, "meta": extra}),
+        st.sampled_from([{"parts": parts}, {"weight": weight}]),
+        (st.booleans() | st.floats()).map(lambda w: {"parts": parts, "weight": w}),
+        st.just({"parts": [], "weight": weight}),
+        st.tuples(st.integers(0, len(parts) - 1), odd_part).map(
+            lambda swap: {"parts": [*parts[:swap[0]], swap[1], *parts[swap[0] + 1:]],
+                          "weight": weight}
+        ),
+    )
+
+
+@st.composite
+def _records(draw):
+    """Cover items and near misses whose parts are drawn from a pool of
+    lists, so one list is shared by id across records."""
+    pool = draw(st.lists(st.lists(st.integers(1, 4096), max_size=6), min_size=1, max_size=4))
+    item = st.fixed_dictionaries({
+        "parts": st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+        "weight": st.integers(1, 384),
+    })
+    return pool, draw(st.lists(item | item.flatmap(_spoiled), max_size=6))
+
+
+@given(drawn=_records())
+@example(drawn=([[1, 2]], [{"parts": [[1, 2]], "weight": 1}, {"parts": [[1, 2]], "weight": 2}]))
+@example(drawn=([[1]], [{"parts": [[1]], "weight": 1, "meta": None}, {"parts": [[1]]},
+                        {"parts": [], "weight": 1}, {"parts": [[]], "weight": True},
+                        {"parts": [3, [-1, 2**80, False]], "weight": 1.5}]))
+def test_dump_writes_cover_items_as_json_dumps(tmp_path_factory, drawn):
+    # each list of records is streamed one record at a time, and the first
+    # pooled list also appears at two more depths
+    path = tmp_path_factory.getbasetemp() / "items.json"
+    pool, records = drawn
+    for data in (
+        records,
+        {"items": records, "again": [records], "part": pool[0]},
+        {"items": records, "gates": records[::-1], "meta": {"items": records}},
+    ):
+        serialize.dump(data, path)
+        assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@given(data=st.data())
+def test_parts_are_listed_from_their_bits(data):
+    n = data.draw(st.integers(2, 12))
+    k = data.draw(st.integers(2, min(4, n)))
+    masks = st.integers(0, 2**n - 1).map(lambda bits: bits << 1)  # indices 1..n
+    pool = data.draw(st.lists(masks, min_size=1, max_size=3))
+    part = st.sampled_from(pool) | masks
+    items = data.draw(st.lists(st.tuples(st.lists(part, min_size=k, max_size=k),
+                                         st.integers(1, 34)), max_size=6))
+    cover = WeightedBoxCover(n, k, M35, [(Box(tuple(p)), w) for p, w in items])
+    written = [p for item in serialize.cover_to_dict(cover)["items"] for p in item["parts"]]
+    masks = [mask for box, _ in cover.items for mask in box.parts]
+    assert written == [*map(members, masks)]
+    # equal masks still share one list
+    assert len({*map(id, written)}) == len({*masks})
+    groups = group_names(k)
+    for gate, (box, _) in zip(from_coverkd(cover).gates, cover.items):
+        for g, form, mask in zip(groups, gate.forms, box.parts):
+            assert [*form.coeffs] == [(g, j) for j in members(mask)]
 
 
 def test_circuit_forms_share_one_triple_list():
