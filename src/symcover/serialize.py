@@ -2,15 +2,16 @@
 
 One self-describing schema for covers of every k: the file carries the
 modulus with its factorization and the construction metadata, so a
-verifier never has to re-derive parameters from flags.  Dumping is
-deterministic (sorted keys, sorted index lists, fixed indentation):
-identical inputs produce byte-identical files, exactly the bytes of
-`json.dumps(data, sort_keys=True, indent=2)` and a newline.
+verifier never has to re-derive parameters from flags.  A dump is exactly
+`json.dumps(data, sort_keys=True, indent=2)` and a newline.  The stdlib
+encodes every value but cover items and circuit gates: one record template
+writes those a record at a time and reuses the text of shared parts and forms.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -18,12 +19,7 @@ from pathlib import Path
 
 from .zmod import Modulus, factorize
 from .coverkd import Box, WeightedBoxCover, mask_of, members
-from .circuit import (
-    Gate,
-    LinearForm,
-    SigmaPiSigmaCircuit,
-    VariableSpace,
-)
+from .circuit import Gate, LinearForm, SigmaPiSigmaCircuit, VariableSpace
 
 SCHEMA_VERSION = 1
 
@@ -197,125 +193,96 @@ def circuit_from_dict(data: dict) -> SigmaPiSigmaCircuit:
         raise SchemaError(f"malformed circuit artifact: {exc}") from exc
 
 
-_SCALARS = {str, int, float, bool, type(None)}
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+_RECORDS = ({"parts", "weight"}, {"forms", "repetition"})  # cover items, circuit gates
 
 
-def _scalar(value) -> str:
-    """json.dumps(value), with an int's and a str's text made directly."""
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
-
-
-def _members(value, inner: str) -> tuple[list[str], list, str]:
-    """A non-empty dict's or list's members in order, keys sorted, each
-    with the text that leads it (the opening bracket or a comma, the
-    indent, the key), and the closing bracket."""
-    if isinstance(value, dict):
-        if {*map(type, value)} != {str}:
-            raise TypeError(f"artifact keys must be str, got {[*value]!r}")
-        keys = sorted(value)
-        heads = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
-        heads[0] = "{" + heads[0][1:]
-        return heads, [*map(value.__getitem__, keys)], "}"
-    heads = [f",\n{inner}"] * len(value)
-    heads[0] = "[" + heads[0][1:]
-    return heads, value, "]"
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` nested at `indent`: the
+    encoder escapes each newline in a string, so each one it writes starts a line."""
+    return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
 class _Memo(dict):
-    """A dump's memo: shared lists' texts by (id, indent), ints' texts by value."""
+    """A dump's texts of ints and strs by value."""
 
-    def __missing__(self, i: int) -> str:
-        self[i] = text = str(i)
+    def __missing__(self, value: int | str) -> str:
+        self[value] = text = encode_basestring_ascii(value) if type(value) is str else str(value)
         return text
 
 
-def _text(value, indent: str, memo: _Memo) -> str:
-    """The whole text of `value` nested at `indent`.  A list of scalars is
-    joined at C speed, an int list from the memo's int texts.  Covers and
-    circuits share equal parts and forms, so `memo` marks each int list and
-    each list of [group, index, coefficient] triples by (id, indent) when
-    first seen and keeps its text from the second sighting on."""
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return _scalar(value)
+def _leaf(value, indent: str, memo: _Memo, seen: dict) -> str:
+    """One part, a non-empty list of ints, or one form, a non-empty list of
+    [str, int, int] triples, written at C speed; anything else through _json.
+    Leaves are shared, so `seen` marks each by id and keeps its text from its second sighting."""
     inner = indent + "  "
-    form = False
-    if not isinstance(value, dict):
-        types = {*map(type, value)}
-        if types <= _SCALARS:
-            ints = types == {int}
-            body = f",\n{inner}".join(map(memo.__getitem__ if ints else _scalar, value))
-            text = f"[\n{inner}{body}\n{indent}]"
-            return _mark(memo, value, indent, text) if ints else text
-        # a form: a list of lists whose first holds a str, the group name
-        form = types == {list} and str in map(type, value[0])
-    heads, values, close = _members(value, inner)
-    texts = [memo.get((id(item), inner)) or _text(item, inner, memo) for item in values]
-    text = f"{''.join(map(str.__add__, heads, texts))}\n{indent}{close}"
-    return _mark(memo, value, indent, text) if form else text
-
-
-def _mark(memo: _Memo, value, indent: str, text: str) -> str:
-    """Mark a value that may be shared when first seen; keep its text
-    from the second sighting on."""
-    key = (id(value), indent)
-    memo[key] = text if key in memo else None
+    types = {*map(type, value)} if type(value) is list else None
+    if types == {int}:
+        body = f",\n{inner}".join(map(memo.__getitem__, value))
+    elif types == {list} and {*map(len, value)} == {3}:
+        flat = [*itertools.chain.from_iterable(value)]
+        if [*map(type, flat)] != [str, int, int] * len(value):
+            return _json(value, indent)
+        triple = f"[\n{inner}  %s,\n{inner}  %s,\n{inner}  %s\n{inner}]"
+        body = f",\n{inner}".join([triple] * len(value)) % tuple(map(memo.__getitem__, flat))
+    else:
+        return _json(value, indent)
+    text = f"[\n{inner}{body}\n{indent}]"
+    seen[id(value)] = text if id(value) in seen else None
     return text
 
 
-def _item(record, indent: str, memo: _Memo) -> str | None:
-    """The text of a record that is exactly {"parts": <non-empty list of
-    lists>, "weight": <int>}, a cover item, through one template, else None."""
-    if type(record) is not dict or record.keys() != {"parts", "weight"}:
-        return None
-    parts, weight = record["parts"], record["weight"]
-    if type(weight) is not int or type(parts) is not list or {*map(type, parts)} != {list}:
-        return None
-    inner = indent + "    "
-    texts = [memo.get((id(part), inner)) or _text(part, inner, memo) for part in parts]
-    return (f'{{\n{indent}  "parts": [\n{inner}' + f",\n{inner}".join(texts)
-            + f'\n{indent}  ],\n{indent}  "weight": {weight}\n{indent}}}')
+def _record(record, indent: str, memo: _Memo, seen: dict) -> str:
+    """A cover item, exactly {"parts": <non-empty list>, "weight": int}, or a
+    circuit gate, {"forms": <non-empty list>, "repetition": int}, through one
+    template, each leaf through _leaf; anything else through _json."""
+    if type(record) is dict and record.keys() in _RECORDS:
+        (key, leaves), (count_key, count) = sorted(record.items())
+        if type(leaves) is list and leaves and type(count) is int:
+            inner = indent + "    "
+            texts = [seen.get(id(leaf)) or _leaf(leaf, inner, memo, seen) for leaf in leaves]
+            return (f'{{\n{indent}  "{key}": [\n{inner}' + f",\n{inner}".join(texts)
+                    + f'\n{indent}  ],\n{indent}  "{count_key}": {count}\n{indent}}}')
+    return _json(record, indent)
 
 
-def _pieces(value, indent: str, memo: _Memo, depth: int):
-    """The text of `value` in pieces: containers are streamed a member at
-    a time down `depth` levels, and each member below, a record, is one piece."""
-    if not value or not isinstance(value, (dict, list, tuple)):
-        yield _text(value, indent, memo)
-        return
-    inner = indent + "  "
-    heads, values, close = _members(value, inner)
-    for head, item in zip(heads, values):
-        yield head
-        if depth > 1:
-            yield from _pieces(item, inner, memo, depth - 1)
-        else:
-            yield _item(item, inner, memo) or _text(item, inner, memo)
-    yield f"\n{indent}{close}"
-
-
-def dump(data: dict, path: str | Path) -> None:
+def dump(data, path: str | Path) -> None:
     """Write exactly `json.dumps(data, sort_keys=True, indent=2)` and a
-    newline.  An artifact is a dict of fields and lists of records (items,
-    gates, edges), streamed one record at a time, so its whole text is
-    never held at once.  Keys must be str."""
+    newline.  Each list of records in an artifact (items, gates) is streamed
+    a record at a time, and every other value is left to the stdlib."""
+    memo, seen = _Memo(), {}
+
+    def streamed(value, indent: str):
+        if type(value) is not list or not value:
+            yield _json(value, indent)
+            return
+        inner = indent + "  "
+        for pos, record in enumerate(value):
+            yield f"{',' if pos else '['}\n{inner}{_record(record, inner, memo, seen)}"
+        yield f"\n{indent}]"
+
     with open(path, "w") as fh:
-        fh.writelines(_pieces(data, "", _Memo(), 2))
+        if type(data) is dict and data and {*map(type, data)} == {str}:
+            for pos, key in enumerate(sorted(data)):
+                fh.write(f"{',' if pos else '{'}\n  {encode_basestring_ascii(key)}: ")
+                fh.writelines(streamed(data[key], "  "))
+            fh.write("\n}")
+        else:
+            fh.writelines(streamed(data, ""))
         fh.write("\n")
 
 
 def load(path: str | Path, digest=None) -> dict:
     """Parse a JSON artifact; `digest` (a hashlib object), if given, is
     updated with exactly the bytes that were parsed.  Text that is not
-    JSON, or nests too deeply for the parser, is a SchemaError."""
-    raw = Path(path).read_bytes()
-    if digest is not None:
-        digest.update(raw)
+    JSON, or nests too deeply or is too large to parse, is a SchemaError."""
     try:
+        raw = Path(path).read_bytes()
+        if digest is not None:
+            digest.update(raw)
         return json.loads(raw)
+    except MemoryError:
+        raise SchemaError(f"not enough memory to parse {path}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {path}: {exc}") from exc
     except RecursionError:

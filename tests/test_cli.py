@@ -164,19 +164,24 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", [["verify"], ["export-dot", "--out-dir", "d"]],
                          ids=["verify", "export-dot"])
 def test_reader_reports_part_mask_out_of_memory(tmp_path, capsys, monkeypatch, command):
-    # n**2 fits the guard, but the mask of part [n] takes n + 1 bytes to make
-    def out_of_memory(indices):
+    # n**2 fits the guard, but the mask of part [n] takes n + 1 bytes to make;
+    # then the parse itself runs out of memory, as on a large artifact
+    def out_of_memory(value):
         raise MemoryError
 
-    monkeypatch.setattr("symcover.serialize.mask_of", out_of_memory)
     monkeypatch.chdir(tmp_path)
     n = 3_000_000_000
     artifact = dict(_box_artifact(n, 2, [{"parts": [[n], [1]], "weight": 1}]), kind="rect")
     (tmp_path / "cover.json").write_text(json.dumps(artifact))
-    assert main([*command, "--in", "cover.json"]) == 2
-    out, err = capsys.readouterr()
-    assert "not enough memory to mask a part of n = 3000000000" in err
-    assert "Traceback" not in out + err and not (tmp_path / "d").exists()
+    for patched, message in [
+        ("symcover.serialize.mask_of", "not enough memory to mask a part of n = 3000000000"),
+        ("symcover.serialize.json.loads", "not enough memory to parse cover.json"),
+    ]:
+        monkeypatch.setattr(patched, out_of_memory)
+        assert main([*command, "--in", "cover.json"]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "Traceback" not in out + err and not (tmp_path / "d").exists()
 
 
 def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):

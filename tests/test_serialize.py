@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -247,8 +248,15 @@ def test_artifact_bytes_are_pinned(tmp_path, capsys, args, sha256):
          "5e3ea3a1b2788fe33fee7481acfc5cd40fca5387062b417188fad1ad31fc9e9c"),
         (["sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "7"],
          "8f15c2dae93e71c3ffad6829ca86c466479dddcc66bfb1f838ac031646d35c49"),
+        # the circuits of the benchmark's three workloads
+        (["s2", "--n", "2048", "--m", "6"],
+         "f6e45438074d14249c1e42abdea4477712365c198288bdd895351a3649cb36dd"),
+        (["s2", "--n", "512", "--m", "35"],
+         "2eee0b797a539f27f9c554dbb75014b839dec69c2584ec9e913dee06b7582b4a"),
+        (["sk", "--n", "10", "--k", "4", "--m", "385", "--seed", "0"],
+         "be88d0f661449ad864c94fe5e1e67adfd4b91735c51c21069ba48d239e455e82"),
     ],
-    ids=["s2-16-6", "s2-64-15", "sk-8-3-35"],
+    ids=["s2-16-6", "s2-64-15", "sk-8-3-35", "s2-2048-6", "s2-512-35", "sk-10-4-385"],
 )
 def test_circuit_bytes_are_pinned(tmp_path, capsys, args, sha256):
     path = tmp_path / "circuit.json"
@@ -268,9 +276,8 @@ _values = st.recursive(
 )
 
 
-_triples = st.lists(
-    st.tuples(st.text(), st.integers(), st.integers()).map(list), min_size=1, max_size=4
-)
+_triple = st.tuples(st.text(), st.integers(), st.integers()).map(list)
+_triples = st.lists(_triple, min_size=1, max_size=4)
 
 
 @given(value=_values, shared=st.lists(st.integers(), min_size=1), form=_triples)
@@ -290,50 +297,96 @@ def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared, fo
         assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _spoiled(item: dict):
-    """One defect away from a cover item: a third key or a missing one, a
-    bool or float weight, empty parts, or one part replaced by an empty
-    list, a list holding a bool or a negative or huge int, or a value that
+_odd_triple = st.one_of(
+    st.tuples(st.text(), st.booleans(), st.integers()),
+    st.tuples(st.text(), st.integers(), st.booleans()),
+    st.tuples(st.text(), st.floats(), st.integers()),
+    st.tuples(st.text(), st.integers(), st.floats()),
+    st.tuples(st.integers() | st.booleans() | st.none(), st.integers(), st.integers()),
+    st.tuples(st.text(), st.integers()),
+    st.tuples(st.text(), st.integers(), st.integers(), st.integers()),
+).map(list)
+# a form with one triple spoiled
+_some_triples = st.lists(_triple, max_size=2)
+_odd_forms = st.tuples(_some_triples, _odd_triple, _some_triples).map(
+    lambda form: [*form[0], form[1], *form[2]]
+)
+
+
+def _spoiled(record: dict):
+    """One defect away from a cover item or a circuit gate: a third key or a
+    missing one, a bool or float weight or repetition, empty parts or forms,
+    or one part or form replaced by an empty list, a list holding a bool or
+    a negative or huge int, a form with a bool or float index or coefficient,
+    a group that is not a str or a triple of 2 or 4 entries, or a value that
     is not a list."""
-    parts, weight = item["parts"], item["weight"]
-    odd_part = st.just([]) | _int_lists | _scalars | st.dictionaries(st.text(), _scalars)
+    (key, leaves), (count_key, count) = sorted(record.items())
+
+    def swapped(odd_leaf):
+        return st.tuples(st.integers(0, len(leaves) - 1), odd_leaf).map(
+            lambda swap: {key: [*leaves[:swap[0]], swap[1], *leaves[swap[0] + 1:]],
+                          count_key: count}
+        )
+
     return st.one_of(
-        _scalars.map(lambda extra: {**item, "meta": extra}),
-        st.sampled_from([{"parts": parts}, {"weight": weight}]),
-        (st.booleans() | st.floats()).map(lambda w: {"parts": parts, "weight": w}),
-        st.just({"parts": [], "weight": weight}),
-        st.tuples(st.integers(0, len(parts) - 1), odd_part).map(
-            lambda swap: {"parts": [*parts[:swap[0]], swap[1], *parts[swap[0] + 1:]],
-                          "weight": weight}
-        ),
+        st.dictionaries(st.just("meta"), _scalars, min_size=1).map(lambda extra: record | extra),
+        st.sampled_from([{key: leaves}, {count_key: count}]),
+        (st.booleans() | st.floats()).map(lambda c: {key: leaves, count_key: c}),
+        st.just({key: [], count_key: count}),
+        swapped(st.just([]) | _int_lists | _scalars | st.dictionaries(st.text(), _scalars)),
+        swapped(_odd_forms),  # a branch of its own, so that search finds it often
     )
 
 
 @st.composite
 def _records(draw):
-    """Cover items and near misses whose parts are drawn from a pool of
-    lists, so one list is shared by id across records."""
-    pool = draw(st.lists(st.lists(st.integers(1, 4096), max_size=6), min_size=1, max_size=4))
+    """Cover items, circuit gates and near misses of both, whose parts and
+    forms are drawn from pools of lists, so one list is shared by id across
+    records."""
+    parts = draw(st.lists(st.lists(st.integers(1, 4096), max_size=6), min_size=1, max_size=4))
+    forms = draw(st.lists(_triples, min_size=1, max_size=4))
     item = st.fixed_dictionaries({
-        "parts": st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+        "parts": st.lists(st.sampled_from(parts), min_size=1, max_size=4),
         "weight": st.integers(1, 384),
     })
-    return pool, draw(st.lists(item | item.flatmap(_spoiled), max_size=6))
+    gate = st.fixed_dictionaries({
+        "forms": st.lists(st.sampled_from(forms), min_size=1, max_size=4),
+        "repetition": st.integers(1, 384),
+    })
+    record = st.one_of(item, gate, item.flatmap(_spoiled), gate.flatmap(_spoiled))
+    return parts, forms, draw(st.lists(record, max_size=6))
+
+
+_form = [["x1", 1, 2], ["x2", 3, 0]]
 
 
 @given(drawn=_records())
-@example(drawn=([[1, 2]], [{"parts": [[1, 2]], "weight": 1}, {"parts": [[1, 2]], "weight": 2}]))
-@example(drawn=([[1]], [{"parts": [[1]], "weight": 1, "meta": None}, {"parts": [[1]]},
-                        {"parts": [], "weight": 1}, {"parts": [[]], "weight": True},
-                        {"parts": [3, [-1, 2**80, False]], "weight": 1.5}]))
+@example(drawn=([[1, 2]], [_form], [{"parts": [[1, 2]], "weight": 1},
+                                    {"parts": [[1, 2]], "weight": 2}]))
+@example(drawn=([[1]], [_form], [{"parts": [[1]], "weight": 1, "meta": None}, {"parts": [[1]]},
+                                 {"parts": [], "weight": 1}, {"parts": [[]], "weight": True},
+                                 {"parts": [3, [-1, 2**80, False]], "weight": 1.5}]))
+@example(drawn=([[1]], [_form], [{"forms": [_form, _form], "repetition": 1},
+                                 {"forms": [_form], "repetition": 2}]))
+@example(drawn=([[1]], [_form], [
+    {"forms": [_form, [["x1", True, 2]]], "repetition": 1},
+    {"forms": [[["x1", 1, 2.0]]], "repetition": 1},
+    {"forms": [[[1, 1, 2]]], "repetition": 1},
+    {"forms": [[["x1", 1]]], "repetition": 1},
+    {"forms": [[["x1", 1, 2, 3]]], "repetition": 1},
+    {"forms": [_form, []], "repetition": 1},
+    {"forms": [], "repetition": 1},
+    {"forms": [_form], "repetition": False},
+    {"forms": [_form], "repetition": 1, "meta": 0},
+]))
 def test_dump_writes_cover_items_as_json_dumps(tmp_path_factory, drawn):
     # each list of records is streamed one record at a time, and the first
-    # pooled list also appears at two more depths
+    # pooled part and form also appear at two more depths
     path = tmp_path_factory.getbasetemp() / "items.json"
-    pool, records = drawn
+    parts, forms, records = drawn
     for data in (
         records,
-        {"items": records, "again": [records], "part": pool[0]},
+        {"items": records, "again": [records], "part": parts[0], "form": forms[0]},
         {"items": records, "gates": records[::-1], "meta": {"items": records}},
     ):
         serialize.dump(data, path)
@@ -371,9 +424,17 @@ def test_circuit_forms_share_one_triple_list():
 
 
 @pytest.mark.parametrize("data", [{1: 2}, {"a": [{"b": 1, 2: 3}]}], ids=["top", "nested"])
-def test_dump_rejects_keys_that_are_not_str(tmp_path, data):
-    with pytest.raises(TypeError, match="keys must be str"):
-        serialize.dump(data, tmp_path / "bad.json")
+def test_dump_treats_keys_that_are_not_str_as_json_dumps(tmp_path, data):
+    # the stdlib writes the int key 1 as "1", and cannot sort 2 against "b"
+    path = tmp_path / "keys.json"
+    try:
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=re.escape(str(exc))):
+            serialize.dump(data, path)
+    else:
+        serialize.dump(data, path)
+        assert path.read_text() == text
 
 
 def test_unserializable_cover_rejected():
