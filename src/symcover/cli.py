@@ -62,7 +62,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     build.add_argument("--m", type=int, required=True)
     build.add_argument("--k", type=int, default=3, help="tuple size for sk")
     build.add_argument("--b", type=int, default=None, help="hash alphabet size")
-    build.add_argument("--strategy", choices=["greedy", "randomized"], default="greedy")
     build.add_argument("--seed", type=int, default=0)
     build.add_argument("--out", required=True, help="cover JSON path")
     build.add_argument("--circuit-out", default=None, help="circuit JSON path")
@@ -86,17 +85,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise ValueError(f"need n >= 2, got {args.n}")
+    if args.circuit_out and Path(args.circuit_out).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--circuit-out names the --out file {args.out}")
     mod = factorize(args.m)
     if args.poly == "s2":
         cover = build_s2_cover(args.n, mod)
     else:
-        if not 2 <= args.k <= args.n:
-            raise ValueError(f"need 2 <= k <= n, got k={args.k}, n={args.n}")
-        cover = build_sk_cover(
-            args.n, args.k, mod, b=args.b, strategy=args.strategy, seed=args.seed
-        )
+        cover = build_sk_cover(args.n, args.k, mod, b=args.b, seed=args.seed)
     circuit = (from_cover2d if cover.k == 2 else from_coverkd)(cover)
     s = size(circuit)
     written = [args.out]
@@ -105,7 +100,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         written.append(args.circuit_out)
     del circuit  # freed before the cover's text is written
 
-    cover.meta.setdefault("seed", args.seed)
     serialize.dump(serialize.cover_to_dict(cover), args.out)
     print(f"wrote {', '.join(written)}")
     print(
@@ -165,8 +159,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     mod = factorize(args.m)
     rows = []
     for n in args.n:
-        if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
         cover = build_s2_cover(n, mod)
         rows.append(
             {
@@ -231,13 +223,17 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
             csv_out.write("graph_id,i,j\n")
         for idx, (rect, rep) in enumerate(reps):
             rows, cols = members(rect.parts[0]), members(rect.parts[1])
-            for copy in range(1, rep + 1):
-                name = f"cover_{idx:04d}_{copy:02d}"
-                if csv_out:
-                    csv_out.writelines(f"{graphs},{i},{j}\n" for i in rows for j in cols)
-                else:
+            if csv_out:
+                # the edges are formatted once; each copy puts its graph id before every line
+                edges = [f",{i},{j}\n" for i in rows for j in cols]
+                for graph in range(graphs, graphs + rep):
+                    prefix = str(graph)
+                    csv_out.write(prefix + prefix.join(edges))
+            else:
+                for copy in range(1, rep + 1):
+                    name = f"cover_{idx:04d}_{copy:02d}"
                     (out_dir / f"{name}.dot").write_text(_dot_graph(name, rows, cols))
-                graphs += 1
+            graphs += rep
 
     # an edge {i, j} is covered by the graphs holding cell (i, j) or (j, i)
     try:

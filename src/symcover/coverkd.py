@@ -36,7 +36,7 @@ from .sympoly import SymmetricPolynomial, bbr_construct
 
 
 class ConstructionError(RuntimeError):
-    """Raised when a randomized search exceeds its resource cap or a
+    """Raised when the hash-family search exceeds its round cap or a
     construction fails its closing exhaustive check."""
 
 
@@ -53,12 +53,9 @@ class HashMatrix:
     def u(self) -> int:
         return len(self.rows)
 
-    def separates(self, row: int, subset: tuple[int, ...]) -> bool:
-        """True if the row's entries on these columns (1-based) are distinct."""
-        return _separates(self.rows[row], subset)
-
 
 def _separates(row: tuple[int, ...], subset: tuple[int, ...]) -> bool:
+    """True if the row's entries on these columns (1-based) are distinct."""
     values = [row[j - 1] for j in subset]
     return len(set(values)) == len(values)
 
@@ -166,58 +163,49 @@ def verify_hash_family(h: HashMatrix) -> HashReport:
     checked = 0
     for subset in itertools.combinations(range(1, h.n + 1), h.k):
         checked += 1
-        if not any(h.separates(i, subset) for i in range(h.u)):
+        if not any(_separates(row, subset) for row in h.rows):
             failing.append(subset)
     return HashReport(not failing, failing, checked)
 
 
-def build_hash_family(
-    n: int,
-    k: int,
-    b: int,
-    strategy: str = "greedy",
-    seed: int = 0,
-    max_rows: int = 4096,
-) -> HashMatrix:
+_MAX_ROUNDS = 4096  # candidate pools drawn before the search gives up
+
+
+def build_hash_family(n: int, k: int, b: int, seed: int = 0) -> HashMatrix:
     """Construct a hash matrix separating every k-subset of 1..n.
 
-    greedy: each round draws a pool of random candidate rows and keeps
-    the one separating the most still-unseparated subsets (first wins
-    ties).  randomized: appends every drawn row, useful only as a
-    baseline.  Both track the unseparated subsets incrementally, stop
-    as soon as none remain, and re-verify the result exhaustively, so
-    correctness never rests on a probabilistic argument.
+    Each round draws 32 random candidate rows and keeps the one
+    separating the most still-unseparated subsets (first wins ties),
+    unless it separates none.  The unseparated subsets are tracked
+    incrementally, the search stops as soon as none remain, and the
+    result is re-verified exhaustively, so correctness never rests on a
+    probabilistic argument.
     """
-    if b < k:
-        raise ValueError(f"alphabet size {b} cannot separate {k} columns")
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if strategy not in ("greedy", "randomized"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if b < k:
+        raise ValueError(f"alphabet size {b} cannot separate {k} columns")
 
     rng = random.Random(seed)
     uncovered = set(itertools.combinations(range(1, n + 1), k))
     total = len(uncovered)
     rows: list[tuple[int, ...]] = []
-    pool_size = 32 if strategy == "greedy" else 1
-    rounds = 0
-    while uncovered:
-        if rounds >= max_rows:
-            raise ConstructionError(
-                f"no perfect hash family after {rounds} rounds ({len(rows)} rows): "
-                f"{len(uncovered)} of {total} subsets still unseparated"
-            )
-        rounds += 1
-        candidates = [
-            tuple(rng.randrange(b) for _ in range(n)) for _ in range(pool_size)
-        ]
+    for _ in range(_MAX_ROUNDS):
+        if not uncovered:
+            break
+        candidates = [tuple(rng.randrange(b) for _ in range(n)) for _ in range(32)]
         gains = [sum(_separates(row, s) for s in uncovered) for row in candidates]
         gain = max(gains)
         best = candidates[gains.index(gain)]
-        if gain == 0 and strategy == "greedy":
+        if gain == 0:
             continue  # a useless row would only inflate u, and d = u downstream
         rows.append(best)
         uncovered = {s for s in uncovered if not _separates(best, s)}
+    if uncovered:
+        raise ConstructionError(
+            f"no perfect hash family after {_MAX_ROUNDS} rounds ({len(rows)} rows): "
+            f"{len(uncovered)} of {total} subsets still unseparated"
+        )
 
     result = HashMatrix(n, k, b, tuple(rows))
     report = verify_hash_family(result)
@@ -462,26 +450,23 @@ def build_sk_cover(
     k: int,
     mod: Modulus,
     b: int | None = None,
-    strategy: str = "greedy",
     seed: int = 0,
 ) -> WeightedBoxCover:
     """Hash family -> initial boxes -> indicator polynomial -> transform.
 
     The indicator threshold is d = u (the row count), since u bounds
-    every covered tuple's initial multiplicity.
+    every covered tuple's initial multiplicity.  Each kept row separates
+    some k-subset, whose k! orderings give k! nonempty boxes, so the
+    cover has more items than u.
     """
     mod.require_composite_nonprimepower()
     if b is None:
         b = 2 * k
-    h = build_hash_family(n, k, b, strategy=strategy, seed=seed)
+    h = build_hash_family(n, k, b, seed=seed)
     base = initial_box_cover(h, mod)
-    if h.u > len(base.items):
-        raise ConstructionError(
-            f"degenerate cover: {len(base.items)} boxes from {h.u} rows"
-        )
     f = bbr_construct(mod, d=h.u, ell=len(base.items))
     result = transform_boxes(base, f)
-    result.meta.update(d=h.u, strategy=strategy, seed=seed)
+    result.meta.update(d=h.u, seed=seed)
     return result
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +49,42 @@ def test_build_and_verify_sk(tmp_path, capsys):
     assert main(["verify", "--in", str(cover)]) == 0
     data = serialize.load(cover)
     assert data["meta"]["seed"] == 7
+
+
+def test_covers_record_only_parameters_their_construction_used(tmp_path):
+    # the hash-family search reads the seed; the digit cover reads none
+    s2 = {seed: tmp_path / f"s2-{seed}.json" for seed in ("0", "5")}
+    for seed, path in s2.items():
+        assert main(["build", "--poly", "s2", "--n", "16", "--m", "6", "--seed", seed,
+                     "--out", str(path)]) == 0
+    assert "seed" not in serialize.load(s2["5"])["meta"]
+    assert s2["0"].read_bytes() == s2["5"].read_bytes()
+    sk = tmp_path / "sk.json"
+    assert main(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",
+                 "--out", str(sk)]) == 0
+    assert "strategy" not in serialize.load(sk)["meta"]
+
+
+@pytest.mark.parametrize("circuit_out", ["c.json", "./c.json"])
+def test_build_rejects_circuit_out_naming_the_cover(tmp_path, capsys, monkeypatch, circuit_out):
+    monkeypatch.chdir(tmp_path)
+    code = main(["build", "--poly", "s2", "--n", "16", "--m", "6",
+                 "--out", "c.json", "--circuit-out", circuit_out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("symcover ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        # bracketed optional flags are run too, without their brackets
+        argv = [w.strip("[]") for w in words[1:]]
+        assert main(argv) == 0, words
 
 
 def test_build_rejects_small_n(tmp_path, capsys):
@@ -414,3 +452,6 @@ def test_export_rejects_deeply_nested_json(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert main(["build", "--poly", "s2"]) == 2
     assert main([]) == 2
+    # the hash-family search has one strategy, and no flag to name it
+    assert main(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",
+                 "--out", "never.json", "--strategy", "greedy"]) == 2

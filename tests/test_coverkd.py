@@ -1,10 +1,12 @@
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcover import serialize
+from symcover import coverkd, serialize
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, bbr_construct, weight_value
 from symcover.cover2d import build_s2_cover, initial_cover, transform
@@ -49,28 +51,34 @@ def test_single_identity_row_suffices_for_n_equals_k():
     for k in (2, 3, 4):
         h = HashMatrix(k, k, k, (tuple(range(k)),))
         assert verify_hash_family(h).ok
-        assert h.separates(0, tuple(range(1, k + 1)))
 
 
-def test_build_hash_family_greedy_and_randomized():
-    greedy = build_hash_family(20, 3, 6, strategy="greedy", seed=11)
-    assert verify_hash_family(greedy).ok
-    assert greedy.u == 6  # pinned for regression
-    rand = build_hash_family(20, 3, 6, strategy="randomized", seed=11)
-    assert verify_hash_family(rand).ok
-    assert rand.u == 10  # pinned for regression; well under 40
-    # Deterministic given the seed.
-    again = build_hash_family(20, 3, 6, strategy="greedy", seed=11)
-    assert again == greedy
+@pytest.mark.parametrize(
+    "args, seed, u, sha256",
+    [
+        ((10, 4, 8), 0, 4, "58baae62ca7a70136867f40b97bd77332fd16373fa8f05a1c097c93a428e1416"),
+        ((8, 3, 6), 7, 3, "533407205a582d4149dcbb13f7d1245ea19b661f5ef8ebf07605d5a7e9717fc8"),
+        ((20, 3, 6), 11, 6, "48258fbbfab58f86d133b7f2c8b1d4bccd5c332768790fcec820da0853db5203"),
+        ((12, 2, 4), 3, 2, "48a033fb206e812a88771b886095a8ee1f12c43a56028e1e6afc6f32e5c78f1e"),
+    ],
+    ids=["10-4-8-seed0", "8-3-6-seed7", "20-3-6-seed11", "12-2-4-seed3"],
+)
+def test_build_hash_family_rows_are_pinned(args, seed, u, sha256):
+    # the greedy search is deterministic given the seed: its rows are pinned
+    h = build_hash_family(*args, seed=seed)
+    assert verify_hash_family(h).ok
+    assert h.u == u
+    assert hashlib.sha256(json.dumps(h.rows).encode()).hexdigest() == sha256
 
 
-def test_build_hash_family_errors():
+def test_build_hash_family_errors(monkeypatch):
     with pytest.raises(ValueError, match="alphabet"):
         build_hash_family(6, 3, 2)
-    with pytest.raises(ValueError, match="strategy"):
-        build_hash_family(6, 2, 4, strategy="magic")
+    with pytest.raises(ValueError, match="2 <= k <= n"):
+        build_hash_family(6, 7, 2)  # k is judged before the alphabet
+    monkeypatch.setattr(coverkd, "_MAX_ROUNDS", 0)
     with pytest.raises(ConstructionError, match="unseparated"):
-        build_hash_family(8, 2, 2, seed=0, max_rows=0)
+        build_hash_family(8, 2, 2, seed=0)
 
 
 def test_initial_box_cover_reads_off_rows():
@@ -83,6 +91,8 @@ def test_initial_box_cover_reads_off_rows():
 def test_initial_box_cover_properties():
     h = build_hash_family(8, 3, 6, seed=3)
     cover = initial_box_cover(h, M6)
+    # each row separates some 3-subset, whose 3! orderings are nonempty boxes
+    assert len(cover.items) >= 6 * h.u
     for box, w in cover.items:
         assert w == 1
         parts = list(box.parts)

@@ -218,18 +218,18 @@ def test_variable_shared_across_forms_is_left_to_the_expansion():
     "args, sha256",
     [
         (["s2", "--n", "16", "--m", "6"],
-         "eb2cd617bea3a9a5dcebb2492fdbdcb02ddf15606ba3839307ae5a0b9ce18260"),
+         "95e3e0917de1eb3b5b39c1c999aa9726d7cef5b6f58e6de37d962d03f73487a1"),
         (["s2", "--n", "64", "--m", "15"],
-         "00ca80afbb765a81eb0ad01c4ca1a65b3af812122608fa78fa80b24c80c4cb57"),
+         "894051946ff6bb58d80a6eb75c324967f74b1467fe95abab67987186a50bbf87"),
         (["sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "7"],
-         "29fdb0ff555d2cb6603b72d017302e353244fd79f50d8140221f7c5baf6047bc"),
+         "83bc8f314998caab2327eb24ee54380fe51eafcafc506470d47a91f43cd51b10"),
         # the benchmark's three workloads
         (["s2", "--n", "2048", "--m", "6"],
-         "cf10a4031c8245e26f5a198aa0ccc0ccfcaae8819036d264d2e97d8a60ed0221"),
+         "a7501f89708f927c3eb8e3dd9b81d0075a68da127257eebcd560a9ae00ddad6d"),
         (["s2", "--n", "512", "--m", "35"],
-         "be89456a27c7f7ca179d0f06bc44d0232f7a21123c7f8c7b5ce009dc8f0f39f6"),
+         "730f43404750dd29ed74587877a0fcc0a801470d9b2186cdcc2c5be931620bae"),
         (["sk", "--n", "10", "--k", "4", "--m", "385", "--seed", "0"],
-         "3bc759312a385442ab5b43ae0634b4b7b54a83c404983c2ddb2d137c2e27bdcb"),
+         "1679ece42c1e3e2b8f783a331d800f0e2609ee79bd41cbcf752b03b2c4e4890a"),
     ],
     ids=["s2-16-6", "s2-64-15", "sk-8-3-35", "s2-2048-6", "s2-512-35", "sk-10-4-385"],
 )
