@@ -51,26 +51,8 @@ def group_names(k: int) -> tuple[str, ...]:
 
 
 @dataclass
-class LinearForm:
-    """Homogeneous linear form: a map from variable id to Z_m coefficient."""
-
-    coeffs: dict[VarId, int]
-
-    def value(self, assignment: dict[VarId, int], m: int) -> int:
-        total = 0
-        for var, c in self.coeffs.items():
-            if var not in assignment:
-                raise ValueError(f"assignment missing variable {var}")
-            total += c * assignment[var]
-        return total % m
-
-    def scaled(self, factor: int, m: int) -> "LinearForm":
-        return LinearForm({v: (c * factor) % m for v, c in self.coeffs.items()})
-
-
-@dataclass
 class Gate:
-    forms: list[LinearForm]
+    forms: list[dict[VarId, int]]  # linear forms: variable -> coefficient
     repetition: int = 1
 
 
@@ -104,12 +86,12 @@ def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
         raise ValueError("cover has no modulus")
     space = VariableSpace(group_names(cover.k), cover.n)
     ids = [[(g, j) for j in range(cover.n + 1)] for g in space.groups]
-    shared: dict[tuple[int, int, int], LinearForm] = {}
+    shared: dict[tuple[int, int, int], dict[VarId, int]] = {}
 
-    def form(l: int, part: int, c: int) -> LinearForm:
+    def form(l: int, part: int, c: int) -> dict[VarId, int]:
         key = (l, part, c)
         if key not in shared:
-            shared[key] = LinearForm(dict.fromkeys(members(part, ids[l]), c))
+            shared[key] = dict.fromkeys(members(part, ids[l]), c)
         return shared[key]
 
     groups, ones = range(cover.k), [1] * (cover.k - 1)
@@ -137,7 +119,12 @@ def evaluate(c: SigmaPiSigmaCircuit, assignment: dict[VarId, int]) -> int:
     for gate in c.gates:
         prod = 1
         for form in gate.forms:
-            prod = (prod * form.value(assignment, m)) % m
+            value = 0
+            for var, coef in form.items():
+                if var not in assignment:
+                    raise ValueError(f"assignment missing variable {var}")
+                value += coef * assignment[var]
+            prod = prod * value % m
             if prod == 0:
                 break
         total += prod
@@ -150,33 +137,6 @@ def size(c: SigmaPiSigmaCircuit) -> CircuitSize:
     s_total = sum(len(g.forms) for g in c.gates)
     reps = sum(g.repetition for g in c.gates)
     return CircuitSize(1 + r + s_total, r, reps)
-
-
-def naive_snk_circuit(n: int, k: int, mod: Modulus) -> SigmaPiSigmaCircuit:
-    """The C(n, k)-gate circuit with one product x_i1 * ... * x_ik per
-    k-subset; computes the degree-k elementary symmetric polynomial
-    exactly, so it serves as baseline and oracle."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    space = VariableSpace(("x",), n)
-    gates = []
-    for subset in itertools.combinations(range(1, n + 1), k):
-        gates.append(Gate([LinearForm({("x", i): 1}) for i in subset]))
-    return SigmaPiSigmaCircuit(mod, space, gates)
-
-
-def naive_ordered_snk_circuit(n: int, k: int, mod: Modulus) -> SigmaPiSigmaCircuit:
-    """One gate x^1_{i_1} * ... * x^k_{i_k} per ordered distinct-index
-    tuple: the k-group cross version of the naive circuit."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    space = VariableSpace(group_names(k), n)
-    gates = []
-    for tup in itertools.permutations(range(1, n + 1), k):
-        gates.append(
-            Gate([LinearForm({(g, i): 1}) for g, i in zip(space.groups, tup)])
-        )
-    return SigmaPiSigmaCircuit(mod, space, gates)
 
 
 def _nonzero_multilinear(forms: list[dict[VarId, int]]) -> bool:
@@ -215,12 +175,12 @@ def expand_coefficients(
     gate count instead of grinding away.
     """
     m = c.mod.m
-    require_budget(([len(f.coeffs) for f in g.forms] for g in c.gates), len(c.gates), budget)
+    require_budget((map(len, g.forms) for g in c.gates), len(c.gates), budget)
     sums: dict[Monomial, int] = {}
     for gate in c.gates:
-        if _nonzero_multilinear([form.coeffs for form in gate.forms]):
-            monos = map(tuple, map(sorted, itertools.product(*(f.coeffs for f in gate.forms))))
-            weights = map(math.prod, itertools.product(*(f.coeffs.values() for f in gate.forms)))
+        if _nonzero_multilinear(gate.forms):
+            monos = map(tuple, map(sorted, itertools.product(*gate.forms)))
+            weights = map(math.prod, itertools.product(*(f.values() for f in gate.forms)))
             for mono, weight in zip(monos, weights):
                 sums[mono] = sums.get(mono, 0) + weight
     coeffs = {mono: value for mono, total in sums.items() if (value := total % m)}
@@ -282,10 +242,9 @@ def identify_variables_and_scale(
         forms = []
         for pos, form in enumerate(gate.forms):
             merged: dict[VarId, int] = {}
-            for (_, i), v in form.coeffs.items():
-                key = ("x", i)
-                merged[key] = (merged.get(key, 0) + v) % mod.m
-            renamed = LinearForm(merged)
-            forms.append(renamed.scaled(scale, mod.m) if pos == 0 else renamed)
+            for (_, i), v in form.items():
+                merged["x", i] = merged.get(("x", i), 0) + v
+            factor = scale if pos == 0 else 1
+            forms.append({var: v * factor % mod.m for var, v in merged.items()})
         gates.append(Gate(forms, repetition=gate.repetition))
     return SigmaPiSigmaCircuit(mod, space, gates)

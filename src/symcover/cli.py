@@ -60,9 +60,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     build.add_argument("--poly", choices=["s2", "sk"], required=True)
     build.add_argument("--n", type=int, required=True)
     build.add_argument("--m", type=int, required=True)
-    build.add_argument("--k", type=int, default=3, help="tuple size for sk")
-    build.add_argument("--b", type=int, default=None, help="hash alphabet size")
-    build.add_argument("--seed", type=int, default=0)
+    build.add_argument("--k", type=int, default=None, help="tuple size for sk (default 3)")
+    build.add_argument("--seed", type=int, default=None, help="hash search seed for sk (default 0)")
     build.add_argument("--out", required=True, help="cover JSON path")
     build.add_argument("--circuit-out", default=None, help="circuit JSON path")
 
@@ -89,9 +88,12 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise ValueError(f"--circuit-out names the --out file {args.out}")
     mod = factorize(args.m)
     if args.poly == "s2":
+        if args.k is not None or args.seed is not None:
+            raise ValueError("--k and --seed apply to --poly sk only")
         cover = build_s2_cover(args.n, mod)
     else:
-        cover = build_sk_cover(args.n, args.k, mod, b=args.b, seed=args.seed)
+        k = 3 if args.k is None else args.k
+        cover = build_sk_cover(args.n, k, mod, seed=args.seed or 0)
     circuit = (from_cover2d if cover.k == 2 else from_coverkd)(cover)
     s = size(circuit)
     written = [args.out]

@@ -30,7 +30,6 @@ from .coverkd import (
     _check_properties,
     _counts,
     _transform,
-    box_multiplicity,
     mask_of,
 )
 
@@ -95,11 +94,6 @@ def initial_cover(n: int, mod: Modulus | None = None) -> WeightedBoxCover:
             if not rect.is_empty:
                 items.append((rect, 1))
     return WeightedRectCover(n, mod, items, {"N": scheme.base, "g": scheme.digits})
-
-
-def multiplicity(cover: WeightedBoxCover, i: int, j: int) -> int:
-    """Weighted number of items covering cell (i, j), mod m when set."""
-    return box_multiplicity(cover, (i, j))
 
 
 def multiplicity_table(cover: WeightedBoxCover) -> list[list[int]]:

@@ -445,14 +445,9 @@ def verify_sk_properties(cover: WeightedBoxCover) -> PropertyReport:
     return _check_properties(cover)
 
 
-def build_sk_cover(
-    n: int,
-    k: int,
-    mod: Modulus,
-    b: int | None = None,
-    seed: int = 0,
-) -> WeightedBoxCover:
-    """Hash family -> initial boxes -> indicator polynomial -> transform.
+def build_sk_cover(n: int, k: int, mod: Modulus, seed: int = 0) -> WeightedBoxCover:
+    """Hash family over 2k symbols -> initial boxes -> indicator
+    polynomial -> transform.
 
     The indicator threshold is d = u (the row count), since u bounds
     every covered tuple's initial multiplicity.  Each kept row separates
@@ -460,9 +455,7 @@ def build_sk_cover(
     cover has more items than u.
     """
     mod.require_composite_nonprimepower()
-    if b is None:
-        b = 2 * k
-    h = build_hash_family(n, k, b, seed=seed)
+    h = build_hash_family(n, k, 2 * k, seed=seed)
     base = initial_box_cover(h, mod)
     f = bbr_construct(mod, d=h.u, ell=len(base.items))
     result = transform_boxes(base, f)

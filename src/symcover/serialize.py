@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .zmod import Modulus, factorize
 from .coverkd import Box, WeightedBoxCover, mask_of, members
-from .circuit import Gate, LinearForm, SigmaPiSigmaCircuit, VariableSpace
+from .circuit import Gate, SigmaPiSigmaCircuit, VariableSpace
 
 SCHEMA_VERSION = 1
 
@@ -131,9 +131,9 @@ def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:
     coefficient] triples, so the writer can reuse its text."""
     triples: dict[int, list] = {}  # by id: the forms outlive this call
 
-    def form_list(f: LinearForm) -> list:
+    def form_list(f: dict) -> list:
         if id(f) not in triples:
-            triples[id(f)] = [[grp, idx, coef] for (grp, idx), coef in sorted(f.coeffs.items())]
+            triples[id(f)] = [[grp, idx, coef] for (grp, idx), coef in sorted(f.items())]
         return triples[id(f)]
 
     return {
@@ -184,7 +184,7 @@ def circuit_from_dict(data: dict) -> SigmaPiSigmaCircuit:
                     coeffs[grp, idx] = coef
                 if len(coeffs) != len(triples):
                     raise SchemaError(f"gate {pos} repeats a variable within one form")
-                forms.append(LinearForm(coeffs))
+                forms.append(coeffs)
             gates.append(Gate(forms, repetition=rep))
         return SigmaPiSigmaCircuit(mod, VariableSpace(tuple(groups), n), gates)
     except (KeyError, TypeError, ValueError) as exc:

@@ -162,8 +162,3 @@ def bbr_construct(mod: Modulus, d: int, ell: int) -> SymmetricPolynomial:
         ]
         table.append(crt_combine(bits, mod))
     return from_weight_values(table, ell, mod)
-
-
-def monomial_count(f: SymmetricPolynomial) -> int:
-    """Number of monomials of f when expanded over its ell variables."""
-    return sum(math.comb(f.ell, t) for t, c in enumerate(f.coeffs) if c != 0)

@@ -3,12 +3,17 @@ import random
 import pytest
 
 from symcover.zmod import NotInvertibleError, factorize
-from symcover.cover2d import WeightedRectCover, build_s2_cover, multiplicity
-from symcover.coverkd import Box, WeightedBoxCover, box_multiplicity_table, build_sk_cover
+from symcover.cover2d import WeightedRectCover, build_s2_cover
+from symcover.coverkd import (
+    Box,
+    WeightedBoxCover,
+    box_multiplicity,
+    box_multiplicity_table,
+    build_sk_cover,
+)
 from symcover.circuit import (
     BudgetExceededError,
     Gate,
-    LinearForm,
     SigmaPiSigmaCircuit,
     VariableSpace,
     cover_coefficients,
@@ -19,12 +24,12 @@ from symcover.circuit import (
     from_coverkd,
     group_names,
     identify_variables_and_scale,
-    naive_ordered_snk_circuit,
-    naive_snk_circuit,
     size,
 )
 from symcover.astrong import target_coefficients
 from symcover.serialize import circuit_from_dict, circuit_to_dict
+
+from naive_circuits import naive_ordered_snk_circuit, naive_snk_circuit
 
 M6 = factorize(6)
 M15 = factorize(15)
@@ -46,15 +51,15 @@ def test_from_cover2d_gates():
     )
     c = from_cover2d(cover)
     assert len(c.gates) == len(cover.items)
-    assert c.gates[0].forms[0].coeffs == {("x", 1): 4}
-    assert c.gates[0].forms[1].coeffs == {("y", 2): 1}
-    assert c.gates[1].forms[0].coeffs == {("x", 1): 1, ("x", 2): 1}
+    assert c.gates[0].forms[0] == {("x", 1): 4}
+    assert c.gates[0].forms[1] == {("y", 2): 1}
+    assert c.gates[1].forms[0] == {("x", 1): 1, ("x", 2): 1}
     assert c.gates[0].repetition == 4
 
 
 def test_evaluate_examples():
     space = VariableSpace(("x", "y"), 4)
-    gate = Gate([LinearForm({("x", 1): 1, ("x", 2): 1}), LinearForm({("y", 3): 1})])
+    gate = Gate([{("x", 1): 1, ("x", 2): 1}, {("y", 3): 1}])
     c = SigmaPiSigmaCircuit(M6, space, [gate])
     point = _assignment(space, {("x", 1): 1, ("x", 2): 1, ("y", 3): 1})
     assert evaluate(c, point) == 2
@@ -63,7 +68,7 @@ def test_evaluate_examples():
     assert evaluate(empty, point) == 0
 
     scaled = SigmaPiSigmaCircuit(
-        M6, space, [Gate([LinearForm({("x", 1): 4}), LinearForm({("y", 2): 1})])]
+        M6, space, [Gate([{("x", 1): 4}, {("y", 2): 1}])]
     )
     point = _assignment(space, {("x", 1): 1, ("y", 2): 1})
     assert evaluate(scaled, point) == 4
@@ -81,7 +86,7 @@ def test_size_examples():
     assert size(SigmaPiSigmaCircuit(M6, space, [])).gate_total == 1
 
     single = SigmaPiSigmaCircuit(
-        M6, space, [Gate([LinearForm({("x", 1): 1}), LinearForm({("y", 1): 1})])]
+        M6, space, [Gate([{("x", 1): 1}, {("y", 1): 1}])]
     )
     assert size(single).gate_total == 4
 
@@ -110,7 +115,7 @@ def test_expand_examples():
     c = SigmaPiSigmaCircuit(
         M6,
         space,
-        [Gate([LinearForm({("x", 1): 1, ("x", 2): 1}), LinearForm({("y", 1): 1})])],
+        [Gate([{("x", 1): 1, ("x", 2): 1}, {("y", 1): 1}])],
     )
     out = expand_coefficients(c)
     assert out.coeffs == {
@@ -119,7 +124,7 @@ def test_expand_examples():
     }
 
     c = SigmaPiSigmaCircuit(
-        M6, space, [Gate([LinearForm({("x", 1): 4}), LinearForm({("y", 2): 1})])]
+        M6, space, [Gate([{("x", 1): 4}, {("y", 2): 1}])]
     )
     assert expand_coefficients(c).coeffs == {(("x", 1), ("y", 2)): 4}
 
@@ -130,7 +135,7 @@ def test_expand_matches_cover_multiplicity():
     for i in range(1, 9):
         for j in range(1, 9):
             coeff = expansion.coeffs.get((("x", i), ("y", j)), 0)
-            assert coeff == multiplicity(cover, i, j)
+            assert coeff == box_multiplicity(cover, (i, j))
 
 
 def _hand_built_k10_cover():
@@ -181,7 +186,7 @@ def test_expand_budget():
 def test_expand_rejects_repeated_variable():
     space = VariableSpace(("x",), 2)
     c = SigmaPiSigmaCircuit(
-        M6, space, [Gate([LinearForm({("x", 1): 1}), LinearForm({("x", 1): 1})])]
+        M6, space, [Gate([{("x", 1): 1}, {("x", 1): 1}])]
     )
     with pytest.raises(ValueError, match="repeats"):
         expand_coefficients(c)
@@ -190,14 +195,24 @@ def test_expand_rejects_repeated_variable():
 def test_identify_scale_factors():
     c2 = naive_ordered_snk_circuit(3, 2, M15)
     ident = identify_variables_and_scale(c2, M15)
-    assert ident.gates[0].forms[0].coeffs == {("x", 1): 8}  # 2^{-1} mod 15
+    assert ident.gates[0].forms[0] == {("x", 1): 8}  # 2^{-1} mod 15
 
     c3 = naive_ordered_snk_circuit(4, 3, M35)
     ident3 = identify_variables_and_scale(c3, M35)
-    assert ident3.gates[0].forms[0].coeffs == {("x", 1): 6}  # 6^{-1} mod 35
+    assert ident3.gates[0].forms[0] == {("x", 1): 6}  # 6^{-1} mod 35
 
     with pytest.raises(NotInvertibleError, match="gcd"):
         identify_variables_and_scale(naive_ordered_snk_circuit(3, 2, M6), M6)
+
+
+def test_identify_scales_each_merged_coefficient_once():
+    # ("x", 1) and ("y", 1) merge into one coefficient a + b, which is
+    # then divided by 2! once: (a + b) * 8 mod 15, not a * 8**2 + b * 8
+    a, b = 7, 13
+    space = VariableSpace(("x", "y"), 2)
+    c = SigmaPiSigmaCircuit(M15, space, [Gate([{("x", 1): a, ("y", 1): b}, {("y", 2): 1}])])
+    ident = identify_variables_and_scale(c, M15)
+    assert ident.gates[0].forms == [{("x", 1): (a + b) * 8 % 15}, {("x", 2): 1}]
 
 
 def test_identified_ordered_naive_equals_unordered():
@@ -213,7 +228,7 @@ def test_cover_circuits_are_multilinear_across_groups():
     cover = build_sk_cover(8, 3, M6, seed=2)
     c = from_coverkd(cover)
     for gate in c.gates:
-        groups = [sorted({g for g, _ in f.coeffs}) for f in gate.forms]
+        groups = [sorted({g for g, _ in f}) for f in gate.forms]
         assert groups == [[g] for g in c.vars.groups]
 
 

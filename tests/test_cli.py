@@ -2,10 +2,13 @@ import hashlib
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import symcover
 from symcover import serialize
 from symcover.cli import main
 from symcover.zmod import factorize, mod_inverse
@@ -51,18 +54,21 @@ def test_build_and_verify_sk(tmp_path, capsys):
     assert data["meta"]["seed"] == 7
 
 
-def test_covers_record_only_parameters_their_construction_used(tmp_path):
-    # the hash-family search reads the seed; the digit cover reads none
-    s2 = {seed: tmp_path / f"s2-{seed}.json" for seed in ("0", "5")}
-    for seed, path in s2.items():
-        assert main(["build", "--poly", "s2", "--n", "16", "--m", "6", "--seed", seed,
-                     "--out", str(path)]) == 0
-    assert "seed" not in serialize.load(s2["5"])["meta"]
-    assert s2["0"].read_bytes() == s2["5"].read_bytes()
+def test_covers_record_only_parameters_their_construction_used(tmp_path, capsys):
+    # the hash-family search reads k and the seed; the digit cover reads neither
+    s2 = tmp_path / "s2.json"
+    for flag in (["--seed", "0"], ["--seed", "5"], ["--k", "3"]):
+        assert main(["build", "--poly", "s2", "--n", "16", "--m", "6", *flag,
+                     "--out", str(s2)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+    assert main(["build", "--poly", "s2", "--n", "16", "--m", "6", "--out", str(s2)]) == 0
+    assert "seed" not in serialize.load(s2)["meta"]
     sk = tmp_path / "sk.json"
-    assert main(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",
-                 "--out", str(sk)]) == 0
-    assert "strategy" not in serialize.load(sk)["meta"]
+    assert main(["build", "--poly", "sk", "--n", "6", "--m", "15", "--out", str(sk)]) == 0
+    data = serialize.load(sk)
+    assert (data["k"], data["meta"]["seed"], data["meta"]["b"]) == (3, 0, 6)
+    assert "strategy" not in data["meta"]
 
 
 @pytest.mark.parametrize("circuit_out", ["c.json", "./c.json"])
@@ -455,3 +461,23 @@ def test_usage_error_exit_code():
     # the hash-family search has one strategy, and no flag to name it
     assert main(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",
                  "--out", "never.json", "--strategy", "greedy"]) == 2
+    # the alphabet is 2k, with no flag to set it
+    assert main(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",
+                 "--out", "never.json", "--b", "6"]) == 2
+
+
+def test_runtime_loads_only_the_standard_library():
+    # -I -S: no site-packages and no PYTHONPATH, only the source tree
+    package = Path(symcover.__file__).parent
+    names = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    code = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {str(package.parent)!r})\n"
+        f"for name in {names!r}: importlib.import_module('symcover.' + name)\n"
+        "print(*sorted({m.partition('.')[0] for m in sys.modules}))\n"
+    )
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "symcover" in loaded
+    assert loaded - {"__main__", "symcover"} <= sys.stdlib_module_names

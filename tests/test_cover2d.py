@@ -4,13 +4,12 @@ import pytest
 
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, weight_value
-from symcover.coverkd import Box
+from symcover.coverkd import Box, box_multiplicity
 from symcover.cover2d import (
     WeightedRectCover,
     build_s2_cover,
     digit_scheme,
     initial_cover,
-    multiplicity,
     multiplicity_table,
     transform,
     transformed_weights,
@@ -40,9 +39,9 @@ def test_initial_cover_n4():
     cover = initial_cover(4, M6)
     # Least-significant digits of 1..4 in base 2 are 1,0,1,0.
     assert (Box.of({2, 4}, {1, 3}), 1) in cover.items
-    assert multiplicity(cover, 1, 2) == 2  # 001 vs 010 differ twice
+    assert box_multiplicity(cover, (1, 2)) == 2  # 001 vs 010 differ twice
     for i in range(1, 5):
-        assert multiplicity(cover, i, i) == 0
+        assert box_multiplicity(cover, (i, i)) == 0
 
 
 def test_initial_cover_multiplicity_is_hamming():
@@ -51,7 +50,7 @@ def test_initial_cover_multiplicity_is_hamming():
         scheme = digit_scheme(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert multiplicity(cover, i, j) == scheme.hamming(i, j) % 6
+                assert box_multiplicity(cover, (i, j)) == scheme.hamming(i, j) % 6
 
 
 def test_initial_cover_bounds():
@@ -61,7 +60,7 @@ def test_initial_cover_bounds():
         assert len(cover.items) <= scheme.digits * scheme.base
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                h = multiplicity(cover, i, j)
+                h = box_multiplicity(cover, (i, j))
                 if i == j:
                     assert h == 0
                 else:
@@ -70,14 +69,14 @@ def test_initial_cover_bounds():
 
 def test_multiplicity_basic():
     empty = WeightedRectCover(4, M6, [])
-    assert multiplicity(empty, 1, 2) == 0
+    assert box_multiplicity(empty, (1, 2)) == 0
     single = WeightedRectCover(4, M6, [(Box.of({1}, {2}), 4)])
-    assert multiplicity(single, 1, 2) == 4
-    assert multiplicity(single, 2, 1) == 0
+    assert box_multiplicity(single, (1, 2)) == 4
+    assert box_multiplicity(single, (2, 1)) == 0
     with pytest.raises(ValueError):
-        multiplicity(single, 0, 2)
+        box_multiplicity(single, (0, 2))
     with pytest.raises(ValueError):
-        multiplicity(single, 1, 5)
+        box_multiplicity(single, (1, 5))
 
 
 def test_rectangle_intersection_algebra():
@@ -106,7 +105,7 @@ def test_transform_matches_subset_enumeration():
     for i in range(1, 5):
         for j in range(1, 5):
             expected = _brute_transform_multiplicity(cover, f, i, j)
-            assert multiplicity(out, i, j) == expected
+            assert box_multiplicity(out, (i, j)) == expected
             # Same number via the weight-value form.
             w = sum(1 for rect, _ in cover.items if rect.contains((i, j)))
             assert expected == weight_value(f, w)
@@ -121,9 +120,9 @@ def test_transform_cell_values_n4():
         for j in range(1, 5):
             h = scheme.hamming(i, j)
             if h == 2:
-                assert multiplicity(out, i, j) == 4
+                assert box_multiplicity(out, (i, j)) == 4
             if h == 0:
-                assert multiplicity(out, i, j) == 0
+                assert box_multiplicity(out, (i, j)) == 0
 
 
 def test_transform_rejects_bad_inputs():

@@ -29,7 +29,6 @@ from symcover.coverkd import (
 from symcover.circuit import (
     CoefficientMap,
     Gate,
-    LinearForm,
     SigmaPiSigmaCircuit,
     VariableSpace,
     cover_coefficients,
@@ -58,7 +57,7 @@ def reference_expand(c):
         for form in gate.forms:
             nxt = {}
             for mono, coef in partial.items():
-                for var, fc in form.coeffs.items():
+                for var, fc in form.items():
                     if var in mono:
                         raise ValueError(
                             f"variable {var} repeats in a product: not multilinear"
@@ -122,7 +121,7 @@ def circuits(draw, disjoint: bool):
             spans = [span for span in spans if span or draw(st.booleans())]
         else:
             spans = draw(st.lists(st.lists(st.sampled_from(pool), max_size=3), max_size=3))
-        forms = [LinearForm({var: draw(coef) for var in span}) for span in spans]
+        forms = [{var: draw(coef) for var in span} for span in spans]
         gates.append(Gate(forms, repetition=draw(st.integers(1, 3))))
     return SigmaPiSigmaCircuit(mod, VariableSpace(groups, n), gates)
 
@@ -141,8 +140,8 @@ def test_expand_matches_reference_on_any_forms(c):
 
 @st.composite
 def shared_form_circuits(draw):
-    """Gates built from one pool of forms, so that gates share LinearForm
-    objects; a gate may name one form twice, sharing its variables."""
+    """Gates built from one pool of forms, so that gates share form
+    dicts; a gate may name one form twice, sharing its variables."""
     groups = draw(GROUPS)
     n = draw(st.integers(1, 4))
     mod = draw(st.sampled_from(MODULI))
@@ -150,7 +149,7 @@ def shared_form_circuits(draw):
     spans = st.lists(st.sampled_from(pool), unique=True, max_size=3)
     coef = st.integers(-mod.m, 2 * mod.m)
     forms = [
-        LinearForm({var: draw(coef) for var in span})
+        {var: draw(coef) for var in span}
         for span in draw(st.lists(spans, min_size=1, max_size=5))
     ]
     picks = st.lists(st.sampled_from(forms), max_size=3)
@@ -182,7 +181,7 @@ def mixed_order_circuits(draw):
         cuts = sorted(draw(st.lists(st.integers(1, len(pool) - 1), max_size=3, unique=True)))
         spans = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(pool)])]
         spans = draw(st.permutations(spans))
-        gates.append(Gate([LinearForm({var: draw(coef) for var in span}) for span in spans]))
+        gates.append(Gate([{var: draw(coef) for var in span} for span in spans]))
     return SigmaPiSigmaCircuit(mod, VariableSpace(groups, n), gates)
 
 
@@ -199,10 +198,10 @@ def test_expand_matches_reference_beyond_8_byte_fields():
     space = VariableSpace(("x", "y"), 3)
     x, y = (lambda i: ("x", i)), (lambda i: ("y", i))
     gates = [
-        Gate([LinearForm({x(1): m - 1, x(2): m - 1}), LinearForm({y(2): 1, y(3): 1})]),
-        Gate([LinearForm({x(1): m - 2}), LinearForm({y(1): 1, y(2): m - 1, y(3): 1})]),
-        Gate([LinearForm({x(2): 1, x(3): m - 5}), LinearForm({y(3): m - 1})]),
-        Gate([LinearForm({x(1): 3}), LinearForm({y(2): 1})]),
+        Gate([{x(1): m - 1, x(2): m - 1}, {y(2): 1, y(3): 1}]),
+        Gate([{x(1): m - 2}, {y(1): 1, y(2): m - 1, y(3): 1}]),
+        Gate([{x(2): 1, x(3): m - 5}, {y(3): m - 1}]),
+        Gate([{x(1): 3}, {y(2): 1}]),
     ]
     c = SigmaPiSigmaCircuit(mod, space, gates)
     # gates 1 and 3 each weigh m - 1 on some product: the fields need 9 bytes
@@ -230,11 +229,9 @@ def test_identification_and_scaling_leave_shared_forms_untouched():
     mod = factorize(35)
     c = from_cover2d(build_s2_cover(12, mod))
     forms = {id(f): f for g in c.gates for f in g.forms}.values()
-    before = [dict(f.coeffs) for f in forms]
+    before = [dict(f) for f in forms]
     identified = identify_variables_and_scale(c, mod)
-    scaled = [f.scaled(3, mod.m) for f in forms]
-    assert [f.coeffs for f in forms] == before
-    assert all(s is not f and s.coeffs is not f.coeffs for s, f in zip(scaled, forms))
+    assert [*forms] == before
     new = {id(f) for g in identified.gates for f in g.forms}
     assert new.isdisjoint(map(id, forms))
 
@@ -243,19 +240,19 @@ def test_expand_edge_cases_match_reference():
     space = VariableSpace(("y", "x"), 3)
     x, y = (lambda i: ("x", i)), (lambda i: ("y", i))
     cases = {
-        "groups out of order": [Gate([LinearForm({y(1): 2, y(3): 1}), LinearForm({x(2): 5})])],
-        "forms out of order": [Gate([LinearForm({y(2): 1}), LinearForm({x(3): 1, x(1): 4})])],
+        "groups out of order": [Gate([{y(1): 2, y(3): 1}, {x(2): 5}])],
+        "forms out of order": [Gate([{y(2): 1}, {x(3): 1, x(1): 4}])],
         "mixed and zero coefficients": [
-            Gate([LinearForm({x(1): 0, x(2): 3, x(3): 6}), LinearForm({y(1): 2, y(2): 7})])
+            Gate([{x(1): 0, x(2): 3, x(3): 6}, {y(1): 2, y(2): 7}])
         ],
-        "empty form": [Gate([LinearForm({x(1): 1}), LinearForm({})]), Gate([LinearForm({x(2): 1})])],
-        "gate with no forms": [Gate([]), Gate([]), Gate([LinearForm({x(1): 1})])],
+        "empty form": [Gate([{x(1): 1}, {}]), Gate([{x(2): 1}])],
+        "gate with no forms": [Gate([]), Gate([]), Gate([{x(1): 1}])],
         "shared after an empty form": [
-            Gate([LinearForm({x(1): 1}), LinearForm({}), LinearForm({x(1): 1})])
+            Gate([{x(1): 1}, {}, {x(1): 1}])
         ],
         "all coefficients cancel": [
-            Gate([LinearForm({x(1): 1}), LinearForm({y(1): 1})]),
-            Gate([LinearForm({x(1): 5}), LinearForm({y(1): 1})]),
+            Gate([{x(1): 1}, {y(1): 1}]),
+            Gate([{x(1): 5}, {y(1): 1}]),
         ],
     }
     for name, gates in cases.items():
@@ -266,8 +263,8 @@ def test_expand_edge_cases_match_reference():
 def test_expand_rejects_a_variable_shared_by_two_forms():
     space = VariableSpace(("x", "y"), 3)
     shared = [
-        Gate([LinearForm({("x", 1): 1, ("x", 2): 1}), LinearForm({("x", 2): 0})]),
-        Gate([LinearForm({("y", 1): 1}), LinearForm({("x", 3): 1}), LinearForm({("y", 1): 2})]),
+        Gate([{("x", 1): 1, ("x", 2): 1}, {("x", 2): 0}]),
+        Gate([{("y", 1): 1}, {("x", 3): 1}, {("y", 1): 2}]),
     ]
     for gate in shared:
         c = SigmaPiSigmaCircuit(MODULI[0], space, [gate])

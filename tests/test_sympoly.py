@@ -11,7 +11,6 @@ from symcover.sympoly import (
     bbr_construct,
     choose_exponents,
     from_weight_values,
-    monomial_count,
     weight_value,
 )
 
@@ -183,12 +182,6 @@ def test_lucas_digit_identity():
         for w in range(201):
             for t in range(4):
                 assert binom_mod(w, p**t, p) == (w // p**t) % p
-
-
-def test_monomial_count():
-    assert monomial_count(SymmetricPolynomial(6, (0, 1, 2), M6)) == 6 + 15
-    assert monomial_count(SymmetricPolynomial(4, (0, 3), M6)) == 4
-    assert monomial_count(SymmetricPolynomial(9, (5,), M6)) == 1
 
 
 def test_degree_never_exceeds_ell():
