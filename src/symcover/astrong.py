@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .zmod import Modulus, astrong_coeff_status
-from .circuit import CoefficientMap, Monomial, VariableSpace, group_names
+from .circuit import Monomial, group_names
 
 
 @dataclass
@@ -25,12 +25,11 @@ class MonomialWitness:
     monomial: Monomial
     target: int
     actual: int
-    residue_pairs: list[tuple[int, int]]  # (target, actual) per factor
-    agreeing_factor: int | None
 
-    def line(self) -> str:
+    def line(self, mod: Modulus) -> str:
+        """The monomial, both coefficients and their residues per factor."""
         mono = "*".join(f"{g}{i}" for g, i in self.monomial) or "1"
-        pairs = " ".join(f"{a}|{b}" for a, b in self.residue_pairs)
+        pairs = " ".join(f"{self.target % q}|{self.actual % q}" for q in mod.prime_powers)
         return f"{mono}: target {self.target} actual {self.actual} residues {pairs}"
 
 
@@ -46,7 +45,7 @@ class AStrongReport:
         return f"fail ({len(self.violations)} of {self.checked} monomials)"
 
 
-def target_coefficients(n: int, k: int, ordered: bool = False) -> CoefficientMap:
+def target_coefficients(n: int, k: int, ordered: bool = False) -> dict[Monomial, int]:
     """The coefficient map of the degree-k elementary symmetric target.
 
     unordered: coefficient 1 on each of the C(n, k) square-free
@@ -68,11 +67,11 @@ def target_coefficients(n: int, k: int, ordered: bool = False) -> CoefficientMap
         monos = map(tuple, map(map, pick, itertools.repeat(ids), perms))
     else:
         monos = itertools.combinations(ids[0][1:], k)
-    return CoefficientMap(VariableSpace(groups, n), dict.fromkeys(monos, 1))
+    return dict.fromkeys(monos, 1)
 
 
 def check_astrong(
-    b: CoefficientMap, a: CoefficientMap, mod: Modulus
+    b: dict[Monomial, int], a: dict[Monomial, int], mod: Modulus
 ) -> AStrongReport:
     """Does b's written form stand in for a's modulo mod?
 
@@ -80,35 +79,27 @@ def check_astrong(
     a = b, and every disagreeing factor must have b = 0.  A monomial
     missing from a map counts as coefficient 0 there; in particular a
     stray monomial in b must vanish mod every factor, hence mod m.
+    Each monomial names its variables, so maps over different variable
+    spaces fail rather than raise: b's coefficient is 0 on each of a's
+    monomials that b lacks.
 
     Monomials are tallied per distinct (target, actual) pair and each
     pair is judged once; only monomials of a failing pair are sorted.
     """
-    if b.vars != a.vars:
-        raise ValueError(
-            f"coefficient maps live on different variable spaces: "
-            f"{b.vars} vs {a.vars}"
-        )
-    ac, bc = a.coeffs, b.coeffs
     # (target, actual) over a's support; actual None where b stores nothing
-    tally = Counter(zip(ac.values(), map(bc.get, ac)))
+    tally = Counter(zip(a.values(), map(b.get, a)))
     unstored = sum(count for (_, bv), count in tally.items() if bv is None)
     stray = []
-    if len(bc) > len(ac) - unstored:
-        stray = [*itertools.filterfalse(ac.__contains__, bc)]
-        tally.update(zip(itertools.repeat(0), map(bc.__getitem__, stray)))
-    status = {pair: astrong_coeff_status(pair[0], pair[1] or 0, mod) for pair in tally}
-    failing = {pair for pair, (ok, _) in status.items() if not ok}
+    if len(b) > len(a) - unstored:
+        stray = [*itertools.filterfalse(a.__contains__, b)]
+        tally.update(zip(itertools.repeat(0), map(b.__getitem__, stray)))
+    failing = {(t, v) for t, v in tally if not astrong_coeff_status(t, v or 0, mod)[0]}
     violations: list[MonomialWitness] = []
     if failing:
-        pairs_of_a = zip(ac.values(), map(bc.get, ac))
         found = [
-            *itertools.compress(ac, map(failing.__contains__, pairs_of_a)),
-            *(mono for mono in stray if (0, bc[mono]) in failing),
+            *itertools.compress(a, map(failing.__contains__, zip(a.values(), map(b.get, a)))),
+            *(mono for mono in stray if (0, b[mono]) in failing),
         ]
-        for mono in sorted(found):
-            pair = (ac.get(mono, 0), bc.get(mono))
-            av, bv = pair[0], pair[1] or 0
-            residues = [(av % q, bv % q) for q in mod.prime_powers]
-            violations.append(MonomialWitness(mono, av, bv, residues, status[pair][1]))
-    return AStrongReport(not violations, violations, len(ac) + len(stray))
+        violations = [MonomialWitness(mono, a.get(mono, 0), b.get(mono, 0))
+                      for mono in sorted(found)]
+    return AStrongReport(not violations, violations, len(a) + len(stray))

@@ -63,14 +63,6 @@ class SigmaPiSigmaCircuit:
     gates: list[Gate]
 
 
-@dataclass
-class CoefficientMap:
-    """Monomial -> Z_m coefficient table; zero coefficients are not stored."""
-
-    vars: VariableSpace
-    coeffs: dict[Monomial, int]
-
-
 @dataclass(frozen=True)
 class CircuitSize:
     gate_total: int
@@ -125,8 +117,6 @@ def evaluate(c: SigmaPiSigmaCircuit, assignment: dict[VarId, int]) -> int:
                     raise ValueError(f"assignment missing variable {var}")
                 value += coef * assignment[var]
             prod = prod * value % m
-            if prod == 0:
-                break
         total += prod
     return total % m
 
@@ -163,8 +153,9 @@ def require_budget(sizes: Iterable[Iterable[int]], gates: int, budget: int) -> N
 
 def expand_coefficients(
     c: SigmaPiSigmaCircuit, budget: int = 10_000_000
-) -> CoefficientMap:
-    """Exact symbolic expansion into a multilinear coefficient map.
+) -> dict[Monomial, int]:
+    """Exact symbolic expansion into a multilinear coefficient map, from
+    monomial to Z_m coefficient.
 
     Every gate is multiplied out term by term: each choice of one
     variable per form gives a monomial, weighted by the product of the
@@ -183,31 +174,30 @@ def expand_coefficients(
             weights = map(math.prod, itertools.product(*(f.values() for f in gate.forms)))
             for mono, weight in zip(monos, weights):
                 sums[mono] = sums.get(mono, 0) + weight
-    coeffs = {mono: value for mono, total in sums.items() if (value := total % m)}
-    return CoefficientMap(c.vars, coeffs)
+    return {mono: value for mono, total in sums.items() if (value := total % m)}
 
 
-def cover_coefficients(cover: WeightedBoxCover) -> CoefficientMap:
+def cover_coefficients(cover: WeightedBoxCover) -> dict[Monomial, int]:
     """The expansion of a cover's circuit, read off its count table: the
     coefficient of x^1_{j1}...x^k_{jk} is the count of cell (j1, ..., jk)
     mod m.  Cells come in row-major order and each monomial lists its
     variables in group-name order, where "x10" < "x2"."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
-    space = VariableSpace(group_names(cover.k), cover.n)
+    groups = group_names(cover.k)
     counts = _counts(cover)
     residues = array.array(counts.typecode, map(cover.mod.m.__rmod__, counts))
     del counts  # freed before the map is built
-    ids = ([(g, j) for j in range(1, cover.n + 1)] for g in space.groups)
-    in_name_order = operator.itemgetter(*sorted(range(cover.k), key=space.groups.__getitem__))
+    ids = ([(g, j) for j in range(1, cover.n + 1)] for g in groups)
+    in_name_order = operator.itemgetter(*sorted(range(cover.k), key=groups.__getitem__))
     monos = map(in_name_order, itertools.compress(itertools.product(*ids), residues))
-    return CoefficientMap(space, dict(zip(monos, itertools.compress(residues, residues))))
+    return dict(zip(monos, itertools.compress(residues, residues)))
 
 
-def evaluate_map(cmap: CoefficientMap, assignment: dict[VarId, int], m: int) -> int:
+def evaluate_map(coeffs: dict[Monomial, int], assignment: dict[VarId, int], m: int) -> int:
     """Value of the expanded polynomial at a point, mod m."""
     total = 0
-    for mono, coef in cmap.coeffs.items():
+    for mono, coef in coeffs.items():
         term = coef
         for var in mono:
             term = (term * assignment[var]) % m

@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .zmod import UnsupportedModulusError, astrong_coeff_status, factorize, mod_inverse
+from .zmod import Modulus, UnsupportedModulusError, astrong_coeff_status, factorize, mod_inverse
 from .cover2d import WeightedRectCover, build_s2_cover, multiplicity_table, verify_s2_properties
 from .coverkd import ConstructionError, build_sk_cover, members, verify_sk_properties
 from .circuit import (
@@ -25,7 +25,7 @@ from .circuit import (
     require_budget,
     size,
 )
-from .astrong import MonomialWitness, check_astrong, target_coefficients
+from .astrong import check_astrong, target_coefficients
 from . import serialize
 from .serialize import SchemaError
 
@@ -112,10 +112,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _print_capped(witnesses: list, line) -> None:
+def _print_capped(witnesses: list, mod: Modulus) -> None:
     """The first WITNESS_LINES witnesses, one per line, then a count of the rest."""
     for w in witnesses[:WITNESS_LINES]:
-        print(f"  {line(w)}")
+        print(f"  {w.line(mod)}")
     if len(witnesses) > WITNESS_LINES:
         print(f"  ... and {len(witnesses) - WITNESS_LINES} more")
 
@@ -134,7 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"not enough memory for the check's n**k = {cover.n}**{cover.k} counts"
         ) from None
     print(f"properties: {report.summary()}")
-    _print_capped(report.violations, lambda v: f"cell {v.cell}: {v.reason}")
+    _print_capped(report.violations, cover.mod)
 
     astrong_ok = True
     try:
@@ -146,7 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         a_report = check_astrong(expansion, target, cover.mod)
         astrong_ok = a_report.ok
         print(f"a-strong: {a_report.summary()}")
-        _print_capped(a_report.violations, MonomialWitness.line)
+        _print_capped(a_report.violations, cover.mod)
     except BudgetExceededError as exc:
         print(f"a-strong: skipped ({exc}); cover-level check above is authoritative")
     except MemoryError:
@@ -245,7 +245,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         for i in range(cover.n):
             for j in range(i + 1, cover.n):
                 count = counts[i][j] + counts[j][i]
-                unit = astrong_coeff_status(1, count, cover.mod)[1]
+                ok, unit = astrong_coeff_status(1, count, cover.mod)
+                unit = unit if ok else None
                 manifest["edges"].append(
                     {"edge": [i + 1, j + 1], "count": count, "factor_index": unit,
                      "prime_power": cover.mod.prime_powers[unit] if unit is not None else None}

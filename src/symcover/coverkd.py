@@ -133,7 +133,12 @@ class WeightedBoxCover:
 class CellViolation:
     cell: tuple[int, ...]
     count: int
-    reason: str
+    target: int
+
+    def line(self, mod: Modulus) -> str:
+        """The cell, its count mod m and the count's residues per factor."""
+        return (f"cell {self.cell}: count {self.count} has residues "
+                f"{mod.residues(self.count)} per {mod}, target {self.target}")
 
 
 @dataclass
@@ -426,16 +431,8 @@ def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
     if bad1:
         cells = itertools.compress(itertools.count(), map(bad1.__contains__, counts))
         failing.update((i, (counts[i], 1)) for i in cells)
-    reasons: dict[tuple[int, int], str] = {}
-    violations = []
-    for i in sorted(failing):
-        c, target = failing[i]
-        d = c % mod.m
-        if (d, target) not in reasons:
-            reasons[d, target] = (
-                f"count {d} has residues {mod.residues(d)} per {mod}, target {target}"
-            )
-        violations.append(CellViolation(_cell(i, n, k), d, reasons[d, target]))
+    violations = [CellViolation(_cell(i, n, k), c % mod.m, target)
+                  for i, (c, target) in sorted(failing.items())]
     return PropertyReport(not violations, violations, len(counts))
 
 

@@ -77,6 +77,16 @@ def test_evaluate_examples():
         evaluate(scaled, {("x", 1): 1})
 
 
+def test_evaluate_rejects_a_partial_assignment_past_a_zero_form():
+    # the first form is 0 at this point; the second still needs its variable
+    gate = Gate([{("x", 1): 1}, {("y", 1): 1}])
+    c = SigmaPiSigmaCircuit(M6, VariableSpace(("x", "y"), 1), [gate])
+    with pytest.raises(ValueError, match=r"assignment missing variable \('y', 1\)"):
+        evaluate(c, {("x", 1): 0})
+    with pytest.raises(ValueError, match=r"assignment missing variable \('y', 1\)"):
+        evaluate(c, {("x", 1): 1})
+
+
 def test_size_examples():
     naive = naive_snk_circuit(4, 2, M6)
     s = size(naive)
@@ -95,8 +105,7 @@ def test_naive_circuit_is_exact():
     c = naive_snk_circuit(3, 2, M6)
     expansion = expand_coefficients(c)
     target = target_coefficients(3, 2)
-    assert expansion.coeffs == target.coeffs
-    assert expansion.vars == target.vars
+    assert expansion == target
 
     ones = naive_snk_circuit(5, 1, M6)
     point = {("x", i): 1 for i in range(1, 6)}
@@ -118,7 +127,7 @@ def test_expand_examples():
         [Gate([{("x", 1): 1, ("x", 2): 1}, {("y", 1): 1}])],
     )
     out = expand_coefficients(c)
-    assert out.coeffs == {
+    assert out == {
         (("x", 1), ("y", 1)): 1,
         (("x", 2), ("y", 1)): 1,
     }
@@ -126,7 +135,7 @@ def test_expand_examples():
     c = SigmaPiSigmaCircuit(
         M6, space, [Gate([{("x", 1): 4}, {("y", 2): 1}])]
     )
-    assert expand_coefficients(c).coeffs == {(("x", 1), ("y", 2)): 4}
+    assert expand_coefficients(c) == {(("x", 1), ("y", 2)): 4}
 
 
 def test_expand_matches_cover_multiplicity():
@@ -134,7 +143,7 @@ def test_expand_matches_cover_multiplicity():
     expansion = expand_coefficients(from_cover2d(cover))
     for i in range(1, 9):
         for j in range(1, 9):
-            coeff = expansion.coeffs.get((("x", i), ("y", j)), 0)
+            coeff = expansion.get((("x", i), ("y", j)), 0)
             assert coeff == box_multiplicity(cover, (i, j))
 
 
@@ -168,13 +177,13 @@ def test_expansion_is_the_cover_count_table(make):
     }
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
     circuit = to_circuit(cover)
-    assert expand_coefficients(circuit).coeffs == expected
-    assert cover_coefficients(cover).coeffs == expected
+    assert expand_coefficients(circuit) == expected
+    assert cover_coefficients(cover) == expected
     # read back, every gate holds forms of its own, as on the disk path
     read_back = circuit_from_dict(circuit_to_dict(circuit))
     forms = [f for g in read_back.gates for f in g.forms]
     assert len({*map(id, forms)}) == len(forms)
-    assert expand_coefficients(read_back).coeffs == cover_coefficients(cover).coeffs
+    assert expand_coefficients(read_back) == cover_coefficients(cover)
 
 
 def test_expand_budget():
@@ -221,7 +230,7 @@ def test_identified_ordered_naive_equals_unordered():
         ident = identify_variables_and_scale(ordered, mod)
         expansion = expand_coefficients(ident)
         target = target_coefficients(n, k)
-        assert expansion.coeffs == target.coeffs
+        assert expansion == target
 
 
 def test_cover_circuits_are_multilinear_across_groups():
