@@ -200,9 +200,9 @@ def evaluate_map(coeffs: dict[Monomial, int], assignment: dict[VarId, int], m: i
     for mono, coef in coeffs.items():
         term = coef
         for var in mono:
-            term = (term * assignment[var]) % m
-            if term == 0:
-                break
+            if var not in assignment:
+                raise ValueError(f"assignment missing variable {var}")
+            term = term * assignment[var] % m
         total += term
     return total % m
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -255,9 +254,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         raise ValueError(
             f"not enough memory for the n x n = {cover.n} x {cover.n} edge counts"
         ) from None
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    serialize.dump(manifest, out_dir / "manifest.json")
     print(f"wrote {graphs} graphs and manifest to {out_dir}")
     return EXIT_OK
 

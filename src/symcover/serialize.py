@@ -3,18 +3,16 @@
 One self-describing schema for covers of every k: the file carries the
 modulus with its factorization and the construction metadata, so a
 verifier never has to re-derive parameters from flags.  A dump is exactly
-`json.dumps(data, sort_keys=True, indent=2)` and a newline.  The stdlib
-encodes every value but cover items and circuit gates: one record template
-writes those a record at a time and reuses the text of shared parts and forms.
+`json.dumps(data, sort_keys=True)` and a newline, encoded by the stdlib a
+slice of a top-level list at a time.  The reader takes any JSON layout, so
+files written with indentation read the same.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .zmod import Modulus, factorize
@@ -54,7 +52,8 @@ def _header(data: dict, kinds: tuple[str, ...]) -> tuple[str, int, Modulus]:
 
 def cover_to_dict(cover: WeightedBoxCover) -> dict:
     """kind "rect" for k = 2 covers, "box" otherwise.  Equal parts share
-    one ascending list of one table's ints, so the writer can reuse its text."""
+    one ascending list of one table's ints, so each distinct part is listed
+    by one `members()` call."""
     if cover.mod is None:
         raise ValueError("only covers with a modulus are serialized")
     table = [*range(cover.n + 1)]
@@ -128,7 +127,7 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
 
 def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:
     """Gates that share a form share one list of its [group, index,
-    coefficient] triples, so the writer can reuse its text."""
+    coefficient] triples, so each distinct form's triples are listed once."""
     triples: dict[int, list] = {}  # by id: the forms outlive this call
 
     def form_list(f: dict) -> list:
@@ -193,82 +192,35 @@ def circuit_from_dict(data: dict) -> SigmaPiSigmaCircuit:
         raise SchemaError(f"malformed circuit artifact: {exc}") from exc
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
-_RECORDS = ({"parts", "weight"}, {"forms", "repetition"})  # cover items, circuit gates
+_ENCODER = json.JSONEncoder(sort_keys=True)
+# entries of a top-level list per encode call; the C encoder holds one str
+# per int of a slice, so 256 s2 n = 512 items raised build's peak by 3 MB
+SLICE = 16
 
 
-def _json(value, indent: str) -> str:
-    """`json.dumps(value, sort_keys=True, indent=2)` nested at `indent`: the
-    encoder escapes each newline in a string, so each one it writes starts a line."""
-    return _ENCODER.encode(value).replace("\n", "\n" + indent)
-
-
-class _Memo(dict):
-    """A dump's texts of ints and strs by value."""
-
-    def __missing__(self, value: int | str) -> str:
-        self[value] = text = encode_basestring_ascii(value) if type(value) is str else str(value)
-        return text
-
-
-def _leaf(value, indent: str, memo: _Memo, seen: dict) -> str:
-    """One part, a non-empty list of ints, or one form, a non-empty list of
-    [str, int, int] triples, written at C speed; anything else through _json.
-    Leaves are shared, so `seen` marks each by id and keeps its text from its second sighting."""
-    inner = indent + "  "
-    types = {*map(type, value)} if type(value) is list else None
-    if types == {int}:
-        body = f",\n{inner}".join(map(memo.__getitem__, value))
-    elif types == {list} and {*map(len, value)} == {3}:
-        flat = [*itertools.chain.from_iterable(value)]
-        if [*map(type, flat)] != [str, int, int] * len(value):
-            return _json(value, indent)
-        triple = f"[\n{inner}  %s,\n{inner}  %s,\n{inner}  %s\n{inner}]"
-        body = f",\n{inner}".join([triple] * len(value)) % tuple(map(memo.__getitem__, flat))
-    else:
-        return _json(value, indent)
-    text = f"[\n{inner}{body}\n{indent}]"
-    seen[id(value)] = text if id(value) in seen else None
-    return text
-
-
-def _record(record, indent: str, memo: _Memo, seen: dict) -> str:
-    """A cover item, exactly {"parts": <non-empty list>, "weight": int}, or a
-    circuit gate, {"forms": <non-empty list>, "repetition": int}, through one
-    template, each leaf through _leaf; anything else through _json."""
-    if type(record) is dict and record.keys() in _RECORDS:
-        (key, leaves), (count_key, count) = sorted(record.items())
-        if type(leaves) is list and leaves and type(count) is int:
-            inner = indent + "    "
-            texts = [seen.get(id(leaf)) or _leaf(leaf, inner, memo, seen) for leaf in leaves]
-            return (f'{{\n{indent}  "{key}": [\n{inner}' + f",\n{inner}".join(texts)
-                    + f'\n{indent}  ],\n{indent}  "{count_key}": {count}\n{indent}}}')
-    return _json(record, indent)
+def _text(value):
+    """The text of `json.dumps(value, sort_keys=True)`; a list's comes SLICE
+    entries at a time, so the text of all the items or gates is never held."""
+    if type(value) is not list:
+        yield _ENCODER.encode(value)
+        return
+    yield "["
+    for i in range(0, len(value), SLICE):
+        yield (", " if i else "") + _ENCODER.encode(value[i:i + SLICE])[1:-1]
+    yield "]"
 
 
 def dump(data, path: str | Path) -> None:
-    """Write exactly `json.dumps(data, sort_keys=True, indent=2)` and a
-    newline.  Each list of records in an artifact (items, gates) is streamed
-    a record at a time, and every other value is left to the stdlib."""
-    memo, seen = _Memo(), {}
-
-    def streamed(value, indent: str):
-        if type(value) is not list or not value:
-            yield _json(value, indent)
-            return
-        inner = indent + "  "
-        for pos, record in enumerate(value):
-            yield f"{',' if pos else '['}\n{inner}{_record(record, inner, memo, seen)}"
-        yield f"\n{indent}]"
-
+    """Write exactly `json.dumps(data, sort_keys=True)` and a newline,
+    one top-level value at a time."""
     with open(path, "w") as fh:
-        if type(data) is dict and data and {*map(type, data)} == {str}:
+        if type(data) is dict and {*map(type, data)} == {str}:
             for pos, key in enumerate(sorted(data)):
-                fh.write(f"{',' if pos else '{'}\n  {encode_basestring_ascii(key)}: ")
-                fh.writelines(streamed(data[key], "  "))
-            fh.write("\n}")
+                fh.write(f"{', ' if pos else '{'}{_ENCODER.encode(key)}: ")
+                fh.writelines(_text(data[key]))
+            fh.write("}")
         else:
-            fh.writelines(streamed(data, ""))
+            fh.writelines(_text(data))
         fh.write("\n")
 
 

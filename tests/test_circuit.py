@@ -87,6 +87,14 @@ def test_evaluate_rejects_a_partial_assignment_past_a_zero_form():
         evaluate(c, {("x", 1): 1})
 
 
+def test_evaluate_map_rejects_a_partial_assignment_past_a_zero_factor():
+    # the expansion of the gate above: x1 is 0 at the first point
+    expansion = {(("x", 1), ("y", 1)): 1}
+    for point in ({("x", 1): 0}, {("x", 1): 1}):
+        with pytest.raises(ValueError, match=r"assignment missing variable \('y', 1\)"):
+            evaluate_map(expansion, point, 6)
+
+
 def test_size_examples():
     naive = naive_snk_circuit(4, 2, M6)
     s = size(naive)

@@ -287,6 +287,34 @@ def test_verify_caps_witness_lines(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("shift", [0, 1], ids=["passing", "mutant"])
+@pytest.mark.parametrize(
+    "poly", [["s2", "--n", "16"], ["sk", "--n", "6", "--k", "3", "--seed", "1"]],
+    ids=["k2", "k3"],
+)
+def test_indented_artifacts_read_and_verify_as_compact_ones(tmp_path, capsys, poly, shift):
+    # the indent-2 layout that earlier versions wrote; the mutant shifts the
+    # first item's weight by one within 1..34
+    compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+    assert main(["build", "--poly", *poly, "--m", "35", "--out", str(compact)]) == 0
+    cover = serialize.cover_from_dict(serialize.load(compact))
+    cover.items[0] = (cover.items[0][0], (cover.items[0][1] + shift - 1) % 34 + 1)
+    data = serialize.cover_to_dict(cover)
+    serialize.dump(data, compact)
+    indented.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    assert serialize.cover_from_dict(serialize.load(indented)) == cover
+
+    reports = []
+    for path in (compact, indented):
+        capsys.readouterr()
+        code = main(["verify", "--in", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("artifact: sha256 ")
+        reports.append((code, lines[1:]))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == shift  # exit 0 for the passing cover, 1 for the mutant
+
+
 def test_build_determinism(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -378,7 +406,7 @@ def _check_export_dot_counts(work, n, poly):
 
     raw = (out_dir / "manifest.json").read_text()
     manifest = json.loads(raw)
-    assert raw == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    assert raw == json.dumps(manifest, sort_keys=True) + "\n"
     assert manifest["graphs"] == graphs
     by_edge = {tuple(e["edge"]): e for e in manifest["edges"]}
     for edge, count in edge_counts.items():

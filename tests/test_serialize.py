@@ -218,18 +218,18 @@ def test_variable_shared_across_forms_is_left_to_the_expansion():
     "args, sha256",
     [
         (["s2", "--n", "16", "--m", "6"],
-         "95e3e0917de1eb3b5b39c1c999aa9726d7cef5b6f58e6de37d962d03f73487a1"),
+         "a210aad961b0ae4cf78473c8badf5bf5ec2876042b0b130946dea3bdfa10439b"),
         (["s2", "--n", "64", "--m", "15"],
-         "894051946ff6bb58d80a6eb75c324967f74b1467fe95abab67987186a50bbf87"),
+         "a73e8fd5622afb51d7b586c13f23650493e8ea55d12043e2ed8b2f1d9d7f4116"),
         (["sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "7"],
-         "83bc8f314998caab2327eb24ee54380fe51eafcafc506470d47a91f43cd51b10"),
+         "f01cb8b77121acc05616db170b9619016534f0bd32a0feaf2fb93bd92fc92dbc"),
         # the benchmark's three workloads
         (["s2", "--n", "2048", "--m", "6"],
-         "a7501f89708f927c3eb8e3dd9b81d0075a68da127257eebcd560a9ae00ddad6d"),
+         "fda0d5b05bd2e31561c2cd5585580619695a6eb5706c2d9d7d281a6c281a1f1d"),
         (["s2", "--n", "512", "--m", "35"],
-         "730f43404750dd29ed74587877a0fcc0a801470d9b2186cdcc2c5be931620bae"),
+         "357b91b9353f110828b663faceebebd7066154e19491f14da7d18509eedef73f"),
         (["sk", "--n", "10", "--k", "4", "--m", "385", "--seed", "0"],
-         "1679ece42c1e3e2b8f783a331d800f0e2609ee79bd41cbcf752b03b2c4e4890a"),
+         "6912c4813af80d533b8f9af7fd7e72f08a6ec05062bdac832f24961f04bfe8ba"),
     ],
     ids=["s2-16-6", "s2-64-15", "sk-8-3-35", "s2-2048-6", "s2-512-35", "sk-10-4-385"],
 )
@@ -243,18 +243,18 @@ def test_artifact_bytes_are_pinned(tmp_path, capsys, args, sha256):
     "args, sha256",
     [
         (["s2", "--n", "16", "--m", "6"],
-         "b1c18da856aee0af5bbcf4317955590ea9441ddaab77eb30ae0c9043d5ab8cbf"),
+         "da0546c6369283bed87dcd23c7ec2e725d2abaaaf1388d35d285dd3cc695c858"),
         (["s2", "--n", "64", "--m", "15"],
-         "5e3ea3a1b2788fe33fee7481acfc5cd40fca5387062b417188fad1ad31fc9e9c"),
+         "96c070e84c6c8bb7c7518817c23d75c40a7a308268cea8dece8de3afdbb4316a"),
         (["sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "7"],
-         "8f15c2dae93e71c3ffad6829ca86c466479dddcc66bfb1f838ac031646d35c49"),
+         "24687f3b100a67e897a2d276ad88feeea8cf1126326ddd9d4e134a07caa7a55f"),
         # the circuits of the benchmark's three workloads
         (["s2", "--n", "2048", "--m", "6"],
-         "f6e45438074d14249c1e42abdea4477712365c198288bdd895351a3649cb36dd"),
+         "bc7db7e8f85a14e57c5e6f03636c564b2211ea508cc1501e8c9a0593869d086d"),
         (["s2", "--n", "512", "--m", "35"],
-         "2eee0b797a539f27f9c554dbb75014b839dec69c2584ec9e913dee06b7582b4a"),
+         "8663d2a2666529cc5b3526dff9abc5fc5813c376e4a2c8f627b541e7385d7f98"),
         (["sk", "--n", "10", "--k", "4", "--m", "385", "--seed", "0"],
-         "be88d0f661449ad864c94fe5e1e67adfd4b91735c51c21069ba48d239e455e82"),
+         "bec1fade90e96cffa1a50d3d549000f03806d754849ef8e4f6f7950df4678705"),
     ],
     ids=["s2-16-6", "s2-64-15", "sk-8-3-35", "s2-2048-6", "s2-512-35", "sk-10-4-385"],
 )
@@ -285,8 +285,6 @@ _triples = st.lists(_triple, min_size=1, max_size=4)
          form=[["x", 1, 2]])
 def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared, form):
     path = tmp_path_factory.getbasetemp() / "dump.json"
-    # one int list at two depths, written once per depth; a list of
-    # [str, int, int] triples and any nested value shared across records
     records = [{"forms": [form, form], "v": value}, {"forms": [form]}, [form, value]]
     for data in (
         value,
@@ -294,7 +292,20 @@ def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared, fo
         {"records": records, "again": records[:2], "form": form},
     ):
         serialize.dump(data, path)
-        assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == json.dumps(data, sort_keys=True) + "\n"
+
+
+@given(pool=st.lists(_values, min_size=1, max_size=4),
+       length=st.sampled_from([0, 1, serialize.SLICE, serialize.SLICE + 1,
+                               2 * serialize.SLICE + 1]))
+def test_dump_slices_top_level_lists_as_json_dumps(tmp_path_factory, pool, length):
+    # a top-level list is written a slice at a time: lengths at and past each
+    # seam, of entries cycled from a drawn pool
+    path = tmp_path_factory.getbasetemp() / "slices.json"
+    entries = [pool[i % len(pool)] for i in range(length)]
+    for data in (entries, {"items": entries, "gates": entries[::-1], "n": length}):
+        serialize.dump(data, path)
+        assert path.read_text() == json.dumps(data, sort_keys=True) + "\n"
 
 
 _odd_triple = st.one_of(
@@ -380,8 +391,6 @@ _form = [["x1", 1, 2], ["x2", 3, 0]]
     {"forms": [_form], "repetition": 1, "meta": 0},
 ]))
 def test_dump_writes_cover_items_as_json_dumps(tmp_path_factory, drawn):
-    # each list of records is streamed one record at a time, and the first
-    # pooled part and form also appear at two more depths
     path = tmp_path_factory.getbasetemp() / "items.json"
     parts, forms, records = drawn
     for data in (
@@ -390,7 +399,7 @@ def test_dump_writes_cover_items_as_json_dumps(tmp_path_factory, drawn):
         {"items": records, "gates": records[::-1], "meta": {"items": records}},
     ):
         serialize.dump(data, path)
-        assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == json.dumps(data, sort_keys=True) + "\n"
 
 
 @given(data=st.data())
@@ -428,7 +437,7 @@ def test_dump_treats_keys_that_are_not_str_as_json_dumps(tmp_path, data):
     # the stdlib writes the int key 1 as "1", and cannot sort 2 against "b"
     path = tmp_path / "keys.json"
     try:
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(data, sort_keys=True) + "\n"
     except TypeError as exc:
         with pytest.raises(TypeError, match=re.escape(str(exc))):
             serialize.dump(data, path)
