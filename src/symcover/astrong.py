@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .zmod import Modulus, astrong_coeff_status
-from .circuit import Monomial, group_names
+from .circuit import Monomial, cell_monomials
+from .coverkd import _repeated_cells
 
 
 @dataclass
@@ -49,25 +50,18 @@ def target_coefficients(n: int, k: int, ordered: bool = False) -> dict[Monomial,
     """The coefficient map of the degree-k elementary symmetric target.
 
     unordered: coefficient 1 on each of the C(n, k) square-free
-    monomials in the single group; ordered: coefficient 1 on each
-    distinct-index tuple across the k groups, one monomial per ordering.
-    Monomials list their variables in sorted order; each (group, i) is
-    one shared tuple.
+    monomials in the single group, variables in index order; ordered:
+    coefficient 1 on each distinct-index cell across the k groups, one
+    monomial per ordering, keyed as cell_monomials lists it.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    groups = group_names(k) if ordered else ("x",)
-    # ids[l][i] is variable i of the l-th group in sorted name order
-    ids = [[(g, i) for i in range(n + 1)] for g in sorted(groups)]
-    if ordered:
-        # renaming positions maps the distinct-index tuples onto themselves,
-        # so pairing each one with the sorted names yields the same key set
-        perms = itertools.permutations(range(1, n + 1), k)
-        pick = itertools.repeat(list.__getitem__)
-        monos = map(tuple, map(map, pick, itertools.repeat(ids), perms))
-    else:
-        monos = itertools.combinations(ids[0][1:], k)
-    return dict.fromkeys(monos, 1)
+    if not ordered:
+        return dict.fromkeys(itertools.combinations([("x", i) for i in range(1, n + 1)], k), 1)
+    distinct = bytearray(b"\1") * n**k
+    for i in _repeated_cells(n, k):
+        distinct[i] = 0
+    return dict.fromkeys(itertools.compress(cell_monomials(n, k), distinct), 1)
 
 
 def check_astrong(

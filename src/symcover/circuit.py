@@ -17,7 +17,7 @@ import array
 import itertools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
@@ -177,20 +177,29 @@ def expand_coefficients(
     return {mono: value for mono, total in sums.items() if (value := total % m)}
 
 
+def cell_monomials(n: int, k: int) -> Iterator[Monomial]:
+    """The n**k monomials x^1_{j1}...x^k_{jk}, lazily, with the cells
+    (j1, ..., jk) in row-major order.  Each monomial lists its variables
+    in group-name order, which differs from position order only from
+    k = 10 on, where "x10" < "x2"."""
+    groups = group_names(k)
+    cells = itertools.product(*([(g, j) for j in range(1, n + 1)] for g in groups))
+    order = sorted(range(k), key=groups.__getitem__)
+    if order == sorted(order):
+        return cells
+    return map(operator.itemgetter(*order), cells)
+
+
 def cover_coefficients(cover: WeightedBoxCover) -> dict[Monomial, int]:
     """The expansion of a cover's circuit, read off its count table: the
     coefficient of x^1_{j1}...x^k_{jk} is the count of cell (j1, ..., jk)
-    mod m.  Cells come in row-major order and each monomial lists its
-    variables in group-name order, where "x10" < "x2"."""
+    mod m, keyed as cell_monomials lists it."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
-    groups = group_names(cover.k)
     counts = _counts(cover)
     residues = array.array(counts.typecode, map(cover.mod.m.__rmod__, counts))
     del counts  # freed before the map is built
-    ids = ([(g, j) for j in range(1, cover.n + 1)] for g in groups)
-    in_name_order = operator.itemgetter(*sorted(range(cover.k), key=groups.__getitem__))
-    monos = map(in_name_order, itertools.compress(itertools.product(*ids), residues))
+    monos = itertools.compress(cell_monomials(cover.n, cover.k), residues)
     return dict(zip(monos, itertools.compress(residues, residues)))
 
 

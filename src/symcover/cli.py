@@ -122,6 +122,8 @@ def _print_capped(witnesses: list, mod: Modulus) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     import hashlib  # OpenSSL-backed, so loaded only by the command that hashes
 
+    if args.expansion_budget < 0:
+        raise ValueError(f"--expansion-budget must be non-negative, got {args.expansion_budget}")
     digest = hashlib.sha256()
     cover = serialize.cover_from_dict(serialize.load(args.input, digest))
     print(f"artifact: sha256 {digest.hexdigest()}")

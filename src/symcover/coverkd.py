@@ -397,16 +397,17 @@ def _cell(index: int, n: int, k: int) -> tuple[int, ...]:
 
 
 def _repeated_cells(n: int, k: int) -> set[int]:
-    """Flat indices of the tuples with some index repeated: each is a
-    (k-1)-tuple u with an entry u[a] inserted again at a position b <= a
-    (drop the first of a repeated pair to get u)."""
+    """Flat indices of the tuples with some index repeated.  For positions
+    a < b and each choice of the other entries, the tuples with j_a = j_b
+    are one run of n cells whose step is the sum of a's and b's strides."""
     strides = [n ** (k - 1 - l) for l in range(k)]
-    return {
-        sum(j * s for j, s in zip(u[:b] + (u[a],) + u[b:], strides))
-        for u in itertools.product(range(n), repeat=k - 1)
-        for b in range(k - 1)
-        for a in range(b, k - 1)
-    }
+    cells: set[int] = set()
+    for a, b in itertools.combinations(range(k), 2):
+        step = strides[a] + strides[b]
+        others = (range(0, n * s, s) for l, s in enumerate(strides) if l not in (a, b))
+        cells.update(*(range(base, base + n * step, step)
+                       for base in map(sum, itertools.product(*others))))
+    return cells
 
 
 def _check_properties(cover: WeightedBoxCover) -> PropertyReport:

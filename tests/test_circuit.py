@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from symcover.circuit import (
     Gate,
     SigmaPiSigmaCircuit,
     VariableSpace,
+    cell_monomials,
     cover_coefficients,
     evaluate,
     evaluate_map,
@@ -192,6 +194,21 @@ def test_expansion_is_the_cover_count_table(make):
     forms = [f for g in read_back.gates for f in g.forms]
     assert len({*map(id, forms)}) == len(forms)
     assert expand_coefficients(read_back) == cover_coefficients(cover)
+
+
+def test_cell_monomials_are_row_major_in_group_name_order():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            groups = group_names(k)
+            expected = [tuple(zip(groups, cell))
+                        for cell in itertools.product(range(1, n + 1), repeat=k)]
+            assert list(cell_monomials(n, k)) == expected
+    # from k = 10 on, "x10" sorts before "x2"; the first cells are read lazily
+    first = list(itertools.islice(cell_monomials(10, 10), 12))
+    names = ["x1", "x10", *(f"x{i}" for i in range(2, 10))]
+    assert [[g for g, _ in mono] for mono in first] == [names] * 12
+    assert [dict(mono)["x10"] for mono in first] == [*range(1, 11), 1, 2]
+    assert [dict(mono)["x9"] for mono in first] == [1] * 10 + [2, 2]
 
 
 def test_expand_budget():

@@ -255,6 +255,15 @@ def test_verify_skips_expansion_without_building_the_circuit(tmp_path, capsys, m
     )
 
 
+def test_verify_rejects_a_negative_expansion_budget(tmp_path, capsys):
+    # a negative budget would skip the a-strong step as if it were a real limit
+    cover = _build(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", "--in", str(cover), "--expansion-budget", "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert "--expansion-budget" in err and "a-strong" not in out
+
+
 def test_verify_prints_artifact_sha256(tmp_path, capsys):
     cover = _build(tmp_path)
     capsys.readouterr()

@@ -335,6 +335,13 @@ def test_ordered_target_is_its_definition():
             assert target_coefficients(n, k, ordered=True) == expected
 
 
+def test_repeated_cells_are_their_definition():
+    for n in range(1, 8):
+        for k in range(1, 5):
+            expected = {i for i in range(n**k) if len(set(_cell(i, n, k))) < k}
+            assert _repeated_cells(n, k) == expected
+
+
 def reference_counts(cover):
     """Add every box cell by cell into a flat row-major list."""
     n = cover.n
@@ -359,7 +366,7 @@ def reference_check_properties(cover):
         target: {c: not astrong_coeff_status(target, c, mod)[0] for c in set(counts)}
         for target in (0, 1)
     }
-    suspects = _repeated_cells(n, k)
+    suspects = {i for i in range(n**k) if len(set(_cell(i, n, k))) < k}
     suspects.update(itertools.compress(range(len(counts)), map(bad[1].__getitem__, counts)))
     violations = []
     for i in sorted(suspects):
