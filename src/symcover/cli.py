@@ -125,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.expansion_budget < 0:
         raise ValueError(f"--expansion-budget must be non-negative, got {args.expansion_budget}")
     digest = hashlib.sha256()
-    cover = serialize.cover_from_dict(serialize.load(args.input, digest))
+    cover = serialize.read_cover(args.input, digest)
     print(f"artifact: sha256 {digest.hexdigest()}")
     verify = verify_s2_properties if cover.k == 2 else verify_sk_properties
     try:
@@ -202,7 +202,7 @@ def _dot_graph(name: str, rows: list[int], cols: list[int]) -> str:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    cover = serialize.cover_from_dict(serialize.load(args.input))
+    cover = serialize.read_cover(args.input)
     if cover.k != 2:
         raise ValueError(f"export expects a k = 2 cover artifact, got k = {cover.k}")
     m = cover.mod.m

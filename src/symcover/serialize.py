@@ -11,7 +11,10 @@ files written with indentation read the same.
 from __future__ import annotations
 
 import functools
+import gc
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -72,6 +75,67 @@ def cover_to_dict(cover: WeightedBoxCover) -> dict:
     }
 
 
+def _items_at_once(records: list, n: int, k: int, m: int) -> list | None:
+    """The items, each check run as one pass over all of them, or None if
+    any check fails.  The pass over parts() is made afresh each time, so
+    no list holds one entry per part."""
+    parts = functools.partial(map, operator.itemgetter("parts"), records)
+    weights = functools.partial(map, operator.itemgetter("weight"), records)
+    chain = itertools.chain.from_iterable
+    try:
+        if not (
+            {*map(len, parts())} <= {k}
+            and {*map(type, weights())} <= {int}
+            and (not records or 1 <= min(weights()) and max(weights()) < m)
+            # every index is typed before parts are merged by value: (True,) == (1,)
+            and {*map(type, chain(chain(parts())))} <= {int}
+        ):
+            return None
+        # one mask per distinct index list, shared by every item that names it
+        masks = dict.fromkeys(map(tuple, chain(parts())))
+        for key in masks:
+            if key and not (1 <= min(key) and max(key) <= n):
+                return None
+            if (mask := mask_of(key)).bit_count() != len(key):
+                return None
+            masks[key] = mask
+    except (KeyError, TypeError, MemoryError):
+        return None
+    # each box takes the next k of one flat pass over all parts
+    flat = map(masks.__getitem__, map(tuple, chain(parts())))
+    return [*zip(map(Box, zip(*[flat] * k)), weights())]
+
+
+def _items_one_by_one(records: list, n: int, k: int, m: int) -> list:
+    """The items, read and checked one by one, so the first item at fault
+    is the one named."""
+    items = []
+    masks: dict[tuple[int, ...], int] = {}
+    for pos, d in enumerate(records):
+        parts, w = d["parts"], d["weight"]
+        if len(parts) != k:
+            raise SchemaError(f"item {pos} has {len(parts)} parts, k = {k}")
+        if type(w) is not int or not 1 <= w < m:
+            raise SchemaError(f"item {pos} weight {w!r} is not in 1..{m - 1}")
+        box = []
+        for p in parts:
+            # before the lookup: (True,) == (1,)
+            if not {*map(type, p)} <= {int}:
+                raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
+            if (key := tuple(p)) not in masks:
+                if p and not (1 <= min(p) and max(p) <= n):
+                    raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
+                try:
+                    masks[key] = mask_of(p)
+                except MemoryError:
+                    raise SchemaError(f"not enough memory to mask a part of n = {n}") from None
+                if masks[key].bit_count() != len(p):
+                    raise SchemaError(f"item {pos} repeats an index in part {p}")
+            box.append(masks[key])
+        items.append((Box(tuple(box)), w))
+    return items
+
+
 def cover_from_dict(data: dict) -> WeightedBoxCover:
     """Read either cover kind, rejecting anything the checks could
     misread: n < 2, k outside 2..n, n**k beyond any table's size, a
@@ -90,39 +154,33 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
             raise SchemaError(f"n**k = {n}**{k} cells is more than any table can hold")
         if k > n:
             raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
-        items = []
-        # one mask per distinct index list, shared by every item that names
-        # it; only its first occurrence is range-checked
-        masks: dict[tuple[int, ...], int] = {}
-        for pos, d in enumerate(data["items"]):
-            parts, w = d["parts"], d["weight"]
-            if len(parts) != k:
-                raise SchemaError(f"item {pos} has {len(parts)} parts, k = {k}")
-            if type(w) is not int or not 1 <= w < mod.m:
-                raise SchemaError(f"item {pos} weight {w!r} is not in 1..{mod.m - 1}")
-            box = []
-            for p in parts:
-                # before the lookup: (True,) == (1,)
-                if not {*map(type, p)} <= {int}:
-                    raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
-                if (key := tuple(p)) not in masks:
-                    if p and not (1 <= min(p) and max(p) <= n):
-                        raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
-                    try:
-                        masks[key] = mask_of(p)
-                    except MemoryError:
-                        raise SchemaError(f"not enough memory to mask a part of n = {n}") from None
-                    if masks[key].bit_count() != len(p):
-                        raise SchemaError(f"item {pos} repeats an index in part {p}")
-                box.append(masks[key])
-            items.append((Box(tuple(box)), w))
+        # the whole-list passes decide only that every item reads; on any
+        # doubt, the items are read again one by one to name the first fault
+        args = (data["items"], n, k, mod.m)
+        items = _items_at_once(*args)
+        if items is None:
+            items = _items_one_by_one(*args)
         # the check counts cells in fields of at most 64 bits
-        total = sum(w for _, w in items)
+        total = sum(map(operator.itemgetter(1), items))
         if total >= 2**64:
             raise SchemaError(f"weights sum to {total} >= 2**64: a cell count could overflow")
         return WeightedBoxCover(n, k, mod, items, data.get("meta", {}))
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed cover artifact: {exc}") from exc
+
+
+def read_cover(path: str | Path, digest=None) -> WeightedBoxCover:
+    """`cover_from_dict(load(path, digest))`, with the cyclic collector
+    paused: the JSON tree and the boxes made from it hold no cycles, so a
+    collection would only walk them, again and again as they grow.  The
+    collector's state on entry is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return cover_from_dict(load(path, digest))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -174,6 +175,35 @@ def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message)
     cover.write_text(artifact)
     assert main(["verify", "--in", str(cover)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_verify_restores_the_collector_state(tmp_path, capsys, monkeypatch, caller_enabled):
+    # the read runs with the cyclic collector paused, and leaves it as found,
+    # also when the artifact is refused in the middle of the read
+    paused = []
+    read = serialize.cover_from_dict
+
+    def spy(data):
+        paused.append(not gc.isenabled())
+        return read(data)
+
+    monkeypatch.setattr("symcover.serialize.cover_from_dict", spy)
+    good = _build(tmp_path)
+    bad = tmp_path / "bad.json"
+    data = json.loads(good.read_text())
+    data["items"][-1]["weight"] = 0
+    bad.write_text(json.dumps(data))
+    try:
+        if not caller_enabled:
+            gc.disable()
+        for path, code in [(good, 0), (bad, 2)]:
+            assert main(["verify", "--in", str(path)]) == code
+            assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable()
+    assert paused == [True, True]
+    assert "not in 1..5" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_modulus_trial_division_cannot_factor(tmp_path, capsys):

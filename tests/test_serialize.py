@@ -164,6 +164,105 @@ def test_reader_rejects_malformed_fields(make, path, value, message):
         serialize.cover_from_dict(data)
 
 
+def _item_fault(data: dict) -> str | None:
+    """The reader's message for the first item at fault, found item by item
+    and part by part, or None when every item reads."""
+    n, k, m = data["n"], data["k"], data["m"]
+    for pos, item in enumerate(data["items"]):
+        parts, w = item["parts"], item["weight"]
+        if len(parts) != k:
+            return f"item {pos} has {len(parts)} parts, k = {k}"
+        if type(w) is not int or not 1 <= w < m:
+            return f"item {pos} weight {w!r} is not in 1..{m - 1}"
+        for p in parts:
+            if any(type(j) is not int or not 1 <= j <= n for j in p):
+                return f"item {pos} has an index outside 1..{n}: {p}"
+            if len(set(p)) != len(p):
+                return f"item {pos} repeats an index in part {p}"
+    return None
+
+
+@st.composite
+def _covers(draw, min_items=0):
+    """Covers whose parts come from a small pool, so equal parts recur
+    across items, with empty parts among them."""
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(2, min(4, n)))
+    mod = draw(st.sampled_from([M6, M35, factorize(385)]))
+    masks = st.integers(0, 2**n - 1).map(lambda bits: bits << 1)  # indices 1..n
+    pool = draw(st.lists(masks, min_size=1, max_size=4))
+    part = st.sampled_from(pool) | st.just(0) | masks
+    items = draw(st.lists(st.tuples(st.lists(part, min_size=k, max_size=k),
+                                    st.integers(1, mod.m - 1)),
+                          min_size=min_items, max_size=8))
+    return WeightedBoxCover(n, k, mod, [(Box(tuple(p)), w) for p, w in items], {"seed": 0})
+
+
+@given(cover=_covers())
+def test_reader_property_round_trip(cover):
+    # read from text, so that no two part lists are one object
+    data = json.loads(json.dumps(serialize.cover_to_dict(cover)))
+    assert _item_fault(data) is None
+    read = serialize.cover_from_dict(data)
+    assert (read.n, read.k, read.mod, read.items, read.meta) == (
+        cover.n, cover.k, cover.mod, cover.items, cover.meta)
+    masks = [mask for box, _ in read.items for mask in box.parts]
+    assert len({*map(id, masks)}) == len({*masks})
+
+
+_FAULTS = ["index-0", "index-n-plus-1", "bool-index", "float-index", "repeated-index",
+           "weight-0", "weight-m", "part-missing", "part-extra"]
+
+
+def _put_fault(artifact: dict, cover: WeightedBoxCover, pos: int, slot: int, fault: str):
+    """Put one fault of the kind named into item pos, at its part slot
+    where the fault is in a part."""
+    item = artifact["items"][pos]
+    parts, part = item["parts"], item["parts"][slot]
+    # a bool or float index equals an int one, so its part equals a valid part
+    faulty = {
+        "index-0": lambda: [0, *part],
+        "index-n-plus-1": lambda: [*part, cover.n + 1],
+        "bool-index": lambda: [True if j == 1 else j for j in part] if 1 in part else [True],
+        "float-index": lambda: [float(part[0]), *part[1:]] if part else [1.0],
+        "repeated-index": lambda: [*part, part[-1]] if part else [1, 1],
+    }
+    if fault in faulty:
+        parts[slot] = faulty[fault]()
+    elif fault.startswith("weight"):
+        item["weight"] = 0 if fault == "weight-0" else cover.mod.m
+    else:
+        item["parts"] = parts[1:] if fault == "part-missing" else [*parts, part]
+
+
+@given(cover=_covers(min_items=1), data=st.data(), fault=st.sampled_from(_FAULTS))
+def test_reader_property_single_fault(cover, data, fault):
+    artifact = json.loads(json.dumps(serialize.cover_to_dict(cover)))
+    pos = data.draw(st.integers(0, len(cover.items) - 1))
+    _put_fault(artifact, cover, pos, data.draw(st.integers(0, cover.k - 1)), fault)
+    message = _item_fault(artifact)
+    assert message.startswith(f"item {pos} ")
+    with pytest.raises(SchemaError) as exc:
+        serialize.cover_from_dict(artifact)
+    assert str(exc.value) == message
+
+
+@given(cover=_covers(min_items=2), data=st.data(),
+       faults=st.lists(st.sampled_from(_FAULTS), min_size=2, max_size=2))
+def test_reader_property_first_of_two_faults(cover, data, faults):
+    # whatever kinds the two faults are, the one in the earlier item is named
+    artifact = json.loads(json.dumps(serialize.cover_to_dict(cover)))
+    where = st.lists(st.integers(0, len(cover.items) - 1), min_size=2, max_size=2, unique=True)
+    positions = data.draw(where)
+    for pos, fault in zip(positions, faults):
+        _put_fault(artifact, cover, pos, data.draw(st.integers(0, cover.k - 1)), fault)
+    message = _item_fault(artifact)
+    assert message.startswith(f"item {min(positions)} ")
+    with pytest.raises(SchemaError) as exc:
+        serialize.cover_from_dict(artifact)
+    assert str(exc.value) == message
+
+
 def _circuit():
     return serialize.circuit_to_dict(from_coverkd(build_sk_cover(6, 3, M35, seed=1)))
 
