@@ -106,12 +106,6 @@ class Box:
     def is_empty(self) -> bool:
         return not all(self.parts)
 
-    def contains(self, tup: tuple[int, ...]) -> bool:
-        return all(part >> j & 1 for j, part in zip(tup, self.parts))
-
-    def intersect(self, other: "Box") -> "Box":
-        return Box(tuple(a & b for a, b in zip(self.parts, other.parts)))
-
 
 @dataclass
 class WeightedBoxCover:
@@ -238,14 +232,6 @@ def initial_box_cover(h: HashMatrix, mod: Modulus | None = None) -> WeightedBoxC
             if not box.is_empty:
                 items.append((box, 1))
     return WeightedBoxCover(h.n, h.k, mod, items, {"u": h.u, "b": h.b})
-
-
-def box_multiplicity(cover: WeightedBoxCover, tup: tuple[int, ...]) -> int:
-    """Weighted number of boxes containing the tuple, mod m when set."""
-    if len(tup) != cover.k or not all(1 <= j <= cover.n for j in tup):
-        raise ValueError(f"tuple {tup} outside (1..{cover.n})^{cover.k}")
-    count = sum(w for box, w in cover.items if box.contains(tup))
-    return count % cover.mod.m if cover.mod else count
 
 
 def box_multiplicity_table(cover: WeightedBoxCover) -> dict[tuple[int, ...], int]:

@@ -75,41 +75,19 @@ def cover_to_dict(cover: WeightedBoxCover) -> dict:
     }
 
 
-def _items_at_once(records: list, n: int, k: int, m: int) -> list | None:
-    """The items, each check run as one pass over all of them, or None if
-    any check fails.  The pass over parts() is made afresh each time, so
-    no list holds one entry per part."""
-    parts = functools.partial(map, operator.itemgetter("parts"), records)
-    weights = functools.partial(map, operator.itemgetter("weight"), records)
+def _items(records: list, n: int, k: int, m: int) -> list:
+    """The items, read and checked one by one, so the first item at fault
+    is the one named.  One C-level pass first types every index; each part
+    is typed on its own only if that pass found a non-int or could not
+    read an item, and then the loop meets the same fault."""
     chain = itertools.chain.from_iterable
     try:
-        if not (
-            {*map(len, parts())} <= {k}
-            and {*map(type, weights())} <= {int}
-            and (not records or 1 <= min(weights()) and max(weights()) < m)
-            # every index is typed before parts are merged by value: (True,) == (1,)
-            and {*map(type, chain(chain(parts())))} <= {int}
-        ):
-            return None
-        # one mask per distinct index list, shared by every item that names it
-        masks = dict.fromkeys(map(tuple, chain(parts())))
-        for key in masks:
-            if key and not (1 <= min(key) and max(key) <= n):
-                return None
-            if (mask := mask_of(key)).bit_count() != len(key):
-                return None
-            masks[key] = mask
-    except (KeyError, TypeError, MemoryError):
-        return None
-    # each box takes the next k of one flat pass over all parts
-    flat = map(masks.__getitem__, map(tuple, chain(parts())))
-    return [*zip(map(Box, zip(*[flat] * k)), weights())]
-
-
-def _items_one_by_one(records: list, n: int, k: int, m: int) -> list:
-    """The items, read and checked one by one, so the first item at fault
-    is the one named."""
+        typed = {*map(type, chain(chain(map(operator.itemgetter("parts"), records))))} <= {int}
+    except (KeyError, TypeError):
+        typed = False
     items = []
+    # one mask per distinct index list, shared by every item that names
+    # it; only its first occurrence is range-checked
     masks: dict[tuple[int, ...], int] = {}
     for pos, d in enumerate(records):
         parts, w = d["parts"], d["weight"]
@@ -120,7 +98,7 @@ def _items_one_by_one(records: list, n: int, k: int, m: int) -> list:
         box = []
         for p in parts:
             # before the lookup: (True,) == (1,)
-            if not {*map(type, p)} <= {int}:
+            if not typed and not {*map(type, p)} <= {int}:
                 raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
             if (key := tuple(p)) not in masks:
                 if p and not (1 <= min(p) and max(p) <= n):
@@ -143,7 +121,8 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
     a neighbouring cell) or repeated in its part (it would be judged as
     written once), a weight outside 1..m-1, weights summing to 2**64 or
     more (a cell count would overflow the check's widest field), or
-    stored factors that do not factor m."""
+    stored factors that do not factor m.  Items are read in one loop, and
+    a refused one is the first item at fault."""
     try:
         kind, n, mod = _header(data, ("rect", "box"))
         k = data["k"]
@@ -154,12 +133,7 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
             raise SchemaError(f"n**k = {n}**{k} cells is more than any table can hold")
         if k > n:
             raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
-        # the whole-list passes decide only that every item reads; on any
-        # doubt, the items are read again one by one to name the first fault
-        args = (data["items"], n, k, mod.m)
-        items = _items_at_once(*args)
-        if items is None:
-            items = _items_one_by_one(*args)
+        items = _items(data["items"], n, k, mod.m)
         # the check counts cells in fields of at most 64 bits
         total = sum(map(operator.itemgetter(1), items))
         if total >= 2**64:

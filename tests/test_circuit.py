@@ -8,7 +8,6 @@ from symcover.cover2d import WeightedRectCover, build_s2_cover
 from symcover.coverkd import (
     Box,
     WeightedBoxCover,
-    box_multiplicity,
     box_multiplicity_table,
     build_sk_cover,
 )
@@ -31,6 +30,7 @@ from symcover.circuit import (
 from symcover.astrong import target_coefficients
 from symcover.serialize import circuit_from_dict, circuit_to_dict
 
+from naive_boxes import box_multiplicity
 from naive_circuits import naive_ordered_snk_circuit, naive_snk_circuit
 
 M6 = factorize(6)

@@ -4,7 +4,7 @@ import pytest
 
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, weight_value
-from symcover.coverkd import Box, box_multiplicity
+from symcover.coverkd import Box
 from symcover.cover2d import (
     WeightedRectCover,
     build_s2_cover,
@@ -15,6 +15,8 @@ from symcover.cover2d import (
     transformed_weights,
     verify_s2_properties,
 )
+
+from naive_boxes import box_multiplicity, contains, intersect
 
 M6 = factorize(6)
 M15 = factorize(15)
@@ -82,12 +84,12 @@ def test_multiplicity_basic():
 def test_rectangle_intersection_algebra():
     a = Box.of({1, 2}, {3, 4})
     b = Box.of({2, 3}, {4})
-    assert a.intersect(b) == Box.of({2}, {4})
+    assert intersect(a, b) == Box.of({2}, {4})
 
 
 def _brute_transform_multiplicity(cover, f, i, j):
     # Independent oracle: walk every subset of items explicitly.
-    hits = [idx for idx, (rect, _) in enumerate(cover.items) if rect.contains((i, j))]
+    hits = [idx for idx, (rect, _) in enumerate(cover.items) if contains(rect, (i, j))]
     total = 0
     for size in range(1, f.degree + 1):
         if f.coeffs[size] == 0:
@@ -107,7 +109,7 @@ def test_transform_matches_subset_enumeration():
             expected = _brute_transform_multiplicity(cover, f, i, j)
             assert box_multiplicity(out, (i, j)) == expected
             # Same number via the weight-value form.
-            w = sum(1 for rect, _ in cover.items if rect.contains((i, j)))
+            w = sum(1 for rect, _ in cover.items if contains(rect, (i, j)))
             assert expected == weight_value(f, w)
 
 
@@ -212,7 +214,7 @@ def test_verify_examples():
 def test_build_s2_diagonal_never_covered():
     cover = build_s2_cover(16, M6)
     for i in range(1, 17):
-        raw = sum(w for rect, w in cover.items if rect.contains((i, i)))
+        raw = sum(w for rect, w in cover.items if contains(rect, (i, i)))
         assert raw == 0
 
 

@@ -145,13 +145,30 @@ def _huge_m():
         (_box, ["factors"], [[5, 1], [7, 1], [1, 1]], "do not factor m = 35"),
         (_rect, ["m"], True, "modulus must be"),
         (_huge_m, ["items", 0, "weight"], 2**64, r">= 2\*\*64"),
+        (_rect, ["items"], 3, "malformed cover artifact"),
+        (_rect, ["items"], {"0": {"parts": [[1], [2]], "weight": 1}}, "malformed cover artifact"),
+        (_rect, ["items", 1], [[1], [2]], "malformed cover artifact"),
+        (_rect, ["items", 1], {"weight": 1}, "malformed cover artifact"),
+        (_rect, ["items", 1], {"parts": [[1], [2]]}, "malformed cover artifact"),
+        (_rect, ["items", 1, "parts", 0], None, "malformed cover artifact"),
+        (_rect, ["items", 1, "parts", 1], 2, "malformed cover artifact"),
+        (_rect, ["items", 1, "parts"], None, "malformed cover artifact"),
+        (_rect, ["items", 1, "parts", 0], ["1"], "outside 1..4"),
+        (_rect, ["items", 1, "parts", 1], [None], "outside 1..4"),
+        (_rect, ["items", 1, "parts", 0], [[1]], "outside 1..4"),
+        (_rect, ["items", 1, "parts", 1], "2", "outside 1..4"),
+        # the whole-list type pass cannot read the second part: the first is
+        # still refused for its index, not as malformed
+        (_rect, ["items", 1, "parts"], [["1"], None], "outside 1..4"),
     ],
     ids=[
         "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "k-above-n", "part-count",
         "index-0", "index-n-plus-1", "index-not-int", "index-repeated",
         "bool-part-equal-to-a-read-part", "float-part-equal-to-a-read-part", "weight-0",
         "weight-m", "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
-        "weights-beyond-count-field",
+        "weights-beyond-count-field", "items-int", "items-dict", "item-list",
+        "item-without-parts", "item-without-weight", "part-null", "part-int", "parts-null",
+        "index-str", "index-null", "index-nested-list", "part-str", "index-str-before-null-part",
     ],
 )
 def test_reader_rejects_malformed_fields(make, path, value, message):
