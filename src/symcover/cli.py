@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import sys
 from pathlib import Path
@@ -125,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.expansion_budget < 0:
         raise ValueError(f"--expansion-budget must be non-negative, got {args.expansion_budget}")
     digest = hashlib.sha256()
-    cover = serialize.read_cover(args.input, digest)
+    cover = serialize.cover_from_dict(serialize.load(args.input, digest))
     print(f"artifact: sha256 {digest.hexdigest()}")
     verify = verify_s2_properties if cover.k == 2 else verify_sk_properties
     try:
@@ -202,7 +203,7 @@ def _dot_graph(name: str, rows: list[int], cols: list[int]) -> str:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    cover = serialize.read_cover(args.input)
+    cover = serialize.cover_from_dict(serialize.load(args.input))
     if cover.k != 2:
         raise ValueError(f"export expects a k = 2 cover artifact, got k = {cover.k}")
     m = cover.mod.m
@@ -262,28 +263,38 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic collector paused, argument parsing
+    included: a command's data holds no reference cycles, so a collection
+    would only walk it, again and again as it grows.  The caller's
+    collector state is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = _parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-    handlers = {
-        "build": cmd_build,
-        "verify": cmd_verify,
-        "report": cmd_report,
-        "export-dot": cmd_export_dot,
-    }
-    try:
-        return handlers[args.command](args)
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except (UnsupportedModulusError, ValueError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        handlers = {
+            "build": cmd_build,
+            "verify": cmd_verify,
+            "report": cmd_report,
+            "export-dot": cmd_export_dot,
+        }
+        try:
+            return handlers[args.command](args)
+        except ConstructionError as exc:
+            print(f"construction failed: {exc}", file=sys.stderr)
+            return EXIT_CONSTRUCTION
+        except (UnsupportedModulusError, ValueError, SchemaError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -298,10 +298,11 @@ def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCo
     # output boxes repeat few distinct parts (hash-family boxes above all),
     # so each distinct mask is kept once and shared; the dict dies with this call
     shared: dict[int, int] = {}
+    degree = f.degree  # a property, computed on each read
 
     def extend(cands: int, depth: int, current: tuple[int, ...]) -> None:
         size = depth + 1
-        coeff = f.coeffs[size] if size <= f.degree else 0
+        coeff = f.coeffs[size] if size <= degree else 0
         while cands:
             low = cands & -cands
             cands ^= low
@@ -315,14 +316,16 @@ def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCo
             else:
                 if coeff != 0:
                     out.append((Box(tuple(map(shared.setdefault, merged, merged))), coeff))
-                if size < f.degree:
+                if size < degree:
                     extend(cands & meeting[idx], size, tuple(merged))
 
     full = (1 << (cover.n + 1)) - 1
     extend((1 << len(masks)) - 1, 0, (full,) * cover.k)
-    del extend  # the closure refers to itself; free meeting[] now, not at the next gc
+    # the closure refers to itself, and the cyclic collector is paused for a
+    # whole command, so without this meeting[] would live until the command ends
+    del extend
     meta = dict(cover.meta)
-    meta.update(h=len(cover.items), bbr_coeffs=list(f.coeffs), bbr_degree=f.degree)
+    meta.update(h=len(cover.items), bbr_coeffs=list(f.coeffs), bbr_degree=degree)
     return WeightedBoxCover(cover.n, cover.k, f.mod, out, meta)
 
 

@@ -11,7 +11,6 @@ files written with indentation read the same.
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import json
 import operator
@@ -120,8 +119,9 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
     part count other than k, an index outside 1..n (it would alias into
     a neighbouring cell) or repeated in its part (it would be judged as
     written once), a weight outside 1..m-1, weights summing to 2**64 or
-    more (a cell count would overflow the check's widest field), or
-    stored factors that do not factor m.  Items are read in one loop, and
+    more (a cell count would overflow the check's widest field), stored
+    factors that do not factor m, or a meta that is not an object (a
+    missing one reads as {}).  Items are read in one loop, and
     a refused one is the first item at fault."""
     try:
         kind, n, mod = _header(data, ("rect", "box"))
@@ -133,28 +133,17 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
             raise SchemaError(f"n**k = {n}**{k} cells is more than any table can hold")
         if k > n:
             raise SchemaError(f"k = {k} exceeds n = {n}: no distinct-index tuples")
+        meta = data.get("meta", {})
+        if type(meta) is not dict:
+            raise SchemaError(f"meta must be a JSON object, not {type(meta).__name__}")
         items = _items(data["items"], n, k, mod.m)
         # the check counts cells in fields of at most 64 bits
         total = sum(map(operator.itemgetter(1), items))
         if total >= 2**64:
             raise SchemaError(f"weights sum to {total} >= 2**64: a cell count could overflow")
-        return WeightedBoxCover(n, k, mod, items, data.get("meta", {}))
+        return WeightedBoxCover(n, k, mod, items, meta)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed cover artifact: {exc}") from exc
-
-
-def read_cover(path: str | Path, digest=None) -> WeightedBoxCover:
-    """`cover_from_dict(load(path, digest))`, with the cyclic collector
-    paused: the JSON tree and the boxes made from it hold no cycles, so a
-    collection would only walk them, again and again as they grow.  The
-    collector's state on entry is restored on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return cover_from_dict(load(path, digest))
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:

@@ -11,7 +11,7 @@ import pytest
 
 import symcover
 from symcover import serialize
-from symcover.cli import main
+from symcover.cli import _parse_args, main
 from symcover.zmod import factorize, mod_inverse
 from symcover.circuit import from_cover2d, size
 from symcover.cover2d import build_s2_cover
@@ -160,6 +160,8 @@ def _box_artifact(n, k, items):
          "repeats an index"),
         # the check would print "properties: pass" and then fail on the target
         (json.dumps(_box_artifact(2, 3, [])), "k = 3 exceeds n = 2"),
+        # a transformed cover's meta is read with `in`, which an int does not support
+        (json.dumps(dict(_box_artifact(2, 2, []), meta=5)), "meta must be a JSON object, not int"),
         # a cell count of 2**64 would wrap in the check's widest field
         (json.dumps(dict(_box_artifact(3, 3, [{"parts": [[1], [2], [3]], "weight": 2**64}]),
                          m=3 * 2**65, factors=[[2, 65], [3, 1]])),
@@ -167,7 +169,7 @@ def _box_artifact(n, k, items):
         # the parser runs out of stack before it sees a field
         ("[" * 5000 + "]" * 5000, "nested too deeply"),
     ],
-    ids=["k-64", "duplicate-index", "k-above-n", "weights-beyond-count-field",
+    ids=["k-64", "duplicate-index", "k-above-n", "meta-int", "weights-beyond-count-field",
          "nested-too-deeply"],
 )
 def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message):
@@ -177,33 +179,108 @@ def test_verify_rejects_unreadable_artifact(tmp_path, capsys, artifact, message)
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_verify_restores_the_collector_state(tmp_path, capsys, monkeypatch, caller_enabled):
-    # the read runs with the cyclic collector paused, and leaves it as found,
-    # also when the artifact is refused in the middle of the read
-    paused = []
-    read = serialize.cover_from_dict
-
-    def spy(data):
-        paused.append(not gc.isenabled())
-        return read(data)
-
-    monkeypatch.setattr("symcover.serialize.cover_from_dict", spy)
-    good = _build(tmp_path)
-    bad = tmp_path / "bad.json"
+def _cover_and_refused_copy(tmp_path):
+    """cover.json, a passing s2 cover of odd m that export-dot takes, and
+    bad.json, the same cover with a weight of 0, which the reader refuses
+    with exit 2."""
+    good = tmp_path / "cover.json"
+    assert main(["build", "--poly", "s2", "--n", "16", "--m", "15", "--out", str(good)]) == 0
     data = json.loads(good.read_text())
     data["items"][-1]["weight"] = 0
-    bad.write_text(json.dumps(data))
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "layer, runs",
+    [
+        ("symcover.cover2d.transform",
+         [(["build", "--poly", "s2", "--n", "16", "--m", "6", "--out", "new.json"], 0)]),
+        ("symcover.serialize.dump",
+         [(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "35", "--out", "new.json",
+            "--circuit-out", "circuit.json"], 0)]),
+        # the refused artifact raises out of the read, through the pause
+        ("symcover.serialize.cover_from_dict",
+         [(["verify", "--in", "cover.json"], 0), (["verify", "--in", "bad.json"], 2)]),
+        ("symcover.cover2d.transform",
+         [(["report", "--poly", "s2", "--n", "16,64", "--m", "6", "--csv", "sizes.csv"], 0)]),
+        ("symcover.serialize.cover_from_dict",
+         [(["export-dot", "--in", "cover.json", "--out-dir", "dot", "--format", "csv"], 0)]),
+        # argparse's usage exit is a SystemExit out of the parse
+        ("symcover.cli._parse_args", [(["verify"], 2)]),
+    ],
+    ids=["build-s2", "build-sk-circuit", "verify", "report", "export-dot", "usage"],
+)
+def test_each_command_restores_the_collector_state(
+    tmp_path, capsys, monkeypatch, layer, runs, caller_enabled
+):
+    # main pauses the cyclic collector for the whole command, and leaves it
+    # as the caller had it on every exit
+    _cover_and_refused_copy(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    paused = []
+    module, name = layer.rsplit(".", 1)
+    inner = getattr(sys.modules[module], name)
+
+    def spy(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(layer, spy)
     try:
         if not caller_enabled:
             gc.disable()
-        for path, code in [(good, 0), (bad, 2)]:
-            assert main(["verify", "--in", str(path)]) == code
+        for argv, code in runs:
+            assert main(argv) == code
             assert gc.isenabled() is caller_enabled
     finally:
         gc.enable()
-    assert paused == [True, True]
-    assert "not in 1..5" in capsys.readouterr().err
+    assert paused and all(paused)
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_a_crashing_command_restores_the_collector_state(tmp_path, monkeypatch, caller_enabled):
+    def crash(*args):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr("symcover.cover2d.transform", crash)
+    try:
+        if not caller_enabled:
+            gc.disable()
+        with pytest.raises(RuntimeError, match="crash"):
+            _build(tmp_path)
+        assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--poly", "s2", "--n", "64", "--m", "6", "--out", "new.json"],
+        ["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "35", "--out", "new.json",
+         "--circuit-out", "circuit.json"],
+        ["verify", "--in", "cover.json"],
+        ["report", "--poly", "s2", "--n", "16,64", "--m", "6", "--csv", "sizes.csv"],
+        ["export-dot", "--in", "cover.json", "--out-dir", "dot", "--format", "csv"],
+    ],
+    ids=["build-s2", "build-sk-circuit", "verify", "report", "export-dot"],
+)
+def test_commands_leave_no_cyclic_garbage_beyond_argparse(tmp_path, capsys, monkeypatch, argv):
+    # the pause in main can only hold objects in reference cycles; a
+    # command's data has none, so a collection after it finds no more than
+    # what parsing its arguments alone leaves (argparse's parser)
+    _cover_and_refused_copy(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    gc.collect()
+    gc.disable()  # so no collection runs between the command and the count
+    try:
+        _parse_args(argv)
+        parser_only = gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() <= parser_only
+    finally:
+        gc.enable()
 
 
 def test_verify_rejects_a_modulus_trial_division_cannot_factor(tmp_path, capsys):

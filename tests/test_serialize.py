@@ -160,6 +160,9 @@ def _huge_m():
         # the whole-list type pass cannot read the second part: the first is
         # still refused for its index, not as malformed
         (_rect, ["items", 1, "parts"], [["1"], None], "outside 1..4"),
+        (_rect, ["meta"], 5, "meta must be a JSON object, not int"),
+        (_rect, ["meta"], [], "meta must be a JSON object, not list"),
+        (_rect, ["meta"], "h", "meta must be a JSON object, not str"),
     ],
     ids=[
         "n-below-2", "n-not-int", "k-below-2", "rect-k-not-2", "k-above-n", "part-count",
@@ -169,6 +172,7 @@ def _huge_m():
         "weights-beyond-count-field", "items-int", "items-dict", "item-list",
         "item-without-parts", "item-without-weight", "part-null", "part-int", "parts-null",
         "index-str", "index-null", "index-nested-list", "part-str", "index-str-before-null-part",
+        "meta-int", "meta-list", "meta-str",
     ],
 )
 def test_reader_rejects_malformed_fields(make, path, value, message):
@@ -179,6 +183,12 @@ def test_reader_rejects_malformed_fields(make, path, value, message):
     target[path[-1]] = value
     with pytest.raises(SchemaError, match=message):
         serialize.cover_from_dict(data)
+
+
+def test_reader_reads_a_missing_meta_as_empty():
+    data = _rect()
+    del data["meta"]
+    assert serialize.cover_from_dict(data).meta == {}
 
 
 def _item_fault(data: dict) -> str | None:
