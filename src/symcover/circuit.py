@@ -193,11 +193,16 @@ def cell_monomials(n: int, k: int) -> Iterator[Monomial]:
 def cover_coefficients(cover: WeightedBoxCover) -> dict[Monomial, int]:
     """The expansion of a cover's circuit, read off its count table: the
     coefficient of x^1_{j1}...x^k_{jk} is the count of cell (j1, ..., jk)
-    mod m, keyed as cell_monomials lists it."""
+    mod m, keyed as cell_monomials lists it.  A table of one byte per
+    cell is reduced by one bytes.translate through the 256 residues."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
+    m = cover.mod.m
     counts = _counts(cover)
-    residues = array.array(counts.typecode, map(cover.mod.m.__rmod__, counts))
+    if counts.itemsize == 1:
+        residues = counts.tobytes().translate(bytes(c % m for c in range(256)))
+    else:
+        residues = array.array(counts.typecode, map(m.__rmod__, counts))
     del counts  # freed before the map is built
     monos = itertools.compress(cell_monomials(cover.n, cover.k), residues)
     return dict(zip(monos, itertools.compress(residues, residues)))

@@ -71,11 +71,14 @@ def members(mask: int, values: Sequence | None = None) -> list:
     return [*itertools.compress(itertools.count() if values is None else values, bits)]
 
 
-def mask_of(indices: Collection[int]) -> int:
+def mask_of(indices: Collection[int], top: int | None = None) -> int:
     """The int with bit j set for each index j >= 0: one "1" digit is
-    placed per index, and the digits are read at once.  (Made as bytes:
-    a bytearray repeat out of memory also prints a SystemError line.)"""
-    digits = bytearray(b"0" * (max(indices, default=0) + 1))
+    placed per index, and the digits are read at once.  top, when the
+    caller already knows it, is the largest index (0 for none).  (Made as
+    bytes: a bytearray repeat out of memory also prints a SystemError line.)"""
+    if top is None:
+        top = max(indices, default=0)
+    digits = bytearray(b"0" * (top + 1))
     for j in indices:
         digits[j] = 49  # "1"
     return int(digits[::-1], 2)
@@ -340,32 +343,55 @@ def field_width(total: int) -> int:
     return next((b for b in (1, 2, 4, 8) if total < 1 << 8 * b), -(-total.bit_length() // 8))
 
 
+def _typecode(width: int) -> str:
+    """The array typecode of unsigned ints of width bytes."""
+    return next(t for t in "BHILQ" if array.array(t).itemsize == width)
+
+
+def _fields(mask: int, n: int, width: int) -> int:
+    """The int of n fields of width bytes whose field j - 1 is bit j of mask."""
+    flags = bin(mask >> 1)[:1:-1].encode().translate(_BIT_VALUES)
+    fields = bytearray(n * width)
+    fields[::width] = flags.ljust(n, b"\0")
+    return int.from_bytes(fields, "little")
+
+
 def _counts(cover: WeightedBoxCover) -> array.array:
     """Raw weighted counts of all n**k cells, flat and row-major: cell
     (j_1, ..., j_k) sits at index sum of (j_l - 1) * n**(k - l).
 
-    Each row (j_1, ..., j_{k-1}) is one int of n fixed-width fields, wide
-    enough for the sum of all weights, so no field carries into the next.
-    An item's last part is packed with its weight in the field of each
-    index it holds; the packed parts of items with equal first k - 1 parts
-    are summed, and the sum is added to each row those parts span.  The
-    rows' little-endian bytes are read back as one array of counts."""
+    Each row (j_1, ..., j_{k-1}) is one int of n fixed-width fields.  No
+    cell counts more than the total weight of the items whose first part
+    holds its j_1, so the fields are as wide as the largest such total:
+    those totals are the fields of one packed sum over the distinct first
+    parts, taken at the width of the sum of all weights, which no field
+    can reach past.  An item's last part is packed with its weight in the
+    field of each index it holds; the packed parts of items with equal
+    first k - 1 parts are summed, and the sum is added to each row those
+    parts span.  Each row's little-endian bytes are moved into one array
+    of counts, and the row is freed."""
     n, k = cover.n, cover.k
-    total = sum(w for _, w in cover.items)
+    by_first: defaultdict[int, int] = defaultdict(int)
+    for box, w in cover.items:
+        by_first[box.parts[0]] += w
+    total = sum(by_first.values())
     width = field_width(total)
     if width > 8:
         raise ValueError(f"weights summing to {total} overflow a 64-bit count")
+    spread = sum(_fields(part, n, width) * w for part, w in by_first.items())
+    # read in native order, the fields come reversed on a big-endian
+    # machine, but only the largest is kept
+    bounds = array.array(_typecode(width), spread.to_bytes(n * width, sys.byteorder))
+    width = field_width(max(bounds))
     packed: dict[tuple[int, int], int] = {}
     listed = functools.cache(members)  # the memo dies with this call
     by_heads: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for box, w in cover.items:
         key = (box.parts[-1], w)
         if key not in packed:
-            flags = bin(key[0] >> 1)[:1:-1].encode().translate(_BIT_VALUES)
-            fields = bytearray(n * width)
-            fields[::width] = flags.ljust(n, b"\0")  # field j - 1 holds bit j
-            packed[key] = int.from_bytes(fields, "little") * w
+            packed[key] = _fields(key[0], n, width) * w
         by_heads[box.parts[:-1]] += packed[key]
+    del packed  # freed before the rows are made, and by_heads before the array
     rows = [0] * n ** (k - 1)
     for heads, add in by_heads.items():
         bases = [0]
@@ -373,8 +399,13 @@ def _counts(cover: WeightedBoxCover) -> array.array:
             bases = [b * n + j - 1 for b in bases for j in listed(part)]
         for b in bases:
             rows[b] += add
-    counts = array.array(next(t for t in "BHILQ" if array.array(t).itemsize == width))
-    counts.frombytes(b"".join(r.to_bytes(n * width, "little") for r in rows))
+    del by_heads
+    size = n * width
+    counts = array.array(_typecode(width), [0]) * n**k
+    with memoryview(counts).cast("B") as raw:
+        for b, row in enumerate(rows):
+            raw[b * size:(b + 1) * size] = row.to_bytes(size, "little")
+            rows[b] = 0
     if sys.byteorder == "big":
         counts.byteswap()
     return counts
@@ -405,7 +436,10 @@ def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
     property.  Verdicts are computed once per count that occurs.  The
     repeated-index cells are judged one by one; the other cells are
     looked at one by one only when a count failing the unit pattern
-    occurs among them."""
+    occurs among them.  A table of one byte per cell is judged by
+    bytes.translate through a 256-entry byte table, at C speed: once to
+    delete every count that meets the unit pattern, and, if any count is
+    left, once more to flag the cells that hold one."""
     if cover.mod is None:
         raise ValueError("cover has no modulus to verify against")
     mod, n, k = cover.mod, cover.n, cover.k
@@ -413,14 +447,19 @@ def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
     repeated = {i: counts[i] for i in _repeated_cells(n, k)}
     for i in repeated:
         counts[i] = 1  # a unit-pattern count: only distinct-index cells can fail below
-    bad0, bad1 = (
-        {c for c in values if not astrong_coeff_status(target, c, mod)[0]}
-        for target, values in ((0, set(repeated.values())), (1, set(counts)))
-    )
+    bad0 = {c for c in set(repeated.values()) if not astrong_coeff_status(0, c, mod)[0]}
+    bytewise = counts.itemsize == 1
+    if bytewise:
+        cells = counts.tobytes()
+        passing = bytes(c for c in range(256) if astrong_coeff_status(1, c, mod)[0])
+        bad1 = set(cells.translate(None, passing))
+    else:
+        bad1 = {c for c in set(counts) if not astrong_coeff_status(1, c, mod)[0]}
     failing = {i: (c, 0) for i, c in repeated.items() if c in bad0}
     if bad1:
-        cells = itertools.compress(itertools.count(), map(bad1.__contains__, counts))
-        failing.update((i, (counts[i], 1)) for i in cells)
+        flags = (cells.translate(bytes(map(bad1.__contains__, range(256)))) if bytewise
+                 else map(bad1.__contains__, counts))
+        failing.update((i, (counts[i], 1)) for i in itertools.compress(itertools.count(), flags))
     violations = [CellViolation(_cell(i, n, k), c % mod.m, target)
                   for i, (c, target) in sorted(failing.items())]
     return PropertyReport(not violations, violations, len(counts))

@@ -100,10 +100,11 @@ def _items(records: list, n: int, k: int, m: int) -> list:
             if not typed and not {*map(type, p)} <= {int}:
                 raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
             if (key := tuple(p)) not in masks:
-                if p and not (1 <= min(p) and max(p) <= n):
+                top = max(p, default=0)
+                if p and not (1 <= min(p) and top <= n):
                     raise SchemaError(f"item {pos} has an index outside 1..{n}: {p}")
                 try:
-                    masks[key] = mask_of(p)
+                    masks[key] = mask_of(p, top)
                 except MemoryError:
                     raise SchemaError(f"not enough memory to mask a part of n = {n}") from None
                 if masks[key].bit_count() != len(p):

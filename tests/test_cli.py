@@ -316,7 +316,7 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
 def test_reader_reports_part_mask_out_of_memory(tmp_path, capsys, monkeypatch, command):
     # n**2 fits the guard, but the mask of part [n] takes n + 1 bytes to make;
     # then the parse itself runs out of memory, as on a large artifact
-    def out_of_memory(value):
+    def out_of_memory(*args):
         raise MemoryError
 
     monkeypatch.chdir(tmp_path)

@@ -3,7 +3,10 @@ cell counts, the value-count property check and the exponent choice
 against the plain loops they replaced, kept here as reference
 implementations: same coefficient maps, same counts, same reports, same
 choices, same errors.  The coefficients verify reads off a cover's count
-table are checked against the expansion of the cover's circuit."""
+table are checked against the expansion of the cover's circuit.  Count
+tables of one byte per cell are judged through byte tables and wider
+ones cell by cell, so both kinds are checked, on passing and failing
+covers."""
 
 import itertools
 
@@ -45,6 +48,9 @@ from symcover.astrong import (
 )
 
 MODULI = [factorize(m) for m in (6, 12, 35, 385)]
+# the count table's property tests run 300 examples, or more under a
+# profile that asks for more (the counts profile in conftest.py)
+COUNT_EXAMPLES = max(300, settings().max_examples)
 
 
 def reference_expand(c):
@@ -390,6 +396,16 @@ def assert_same_counts_and_report(cover):
         assert multiplicity_table(cover) == rows
 
 
+def widened(cover):
+    """The cover plus pairs of full boxes weighing 1 and m - 1, enough of
+    them to add 256 or more to every cell: every count keeps its residue
+    mod m, so every verdict stays, but the table needs wider fields."""
+    m = cover.mod.m
+    full = Box.of(*[range(1, cover.n + 1)] * cover.k)
+    pad = [(full, 1), (full, m - 1)] * (255 // m + 1)
+    return WeightedBoxCover(cover.n, cover.k, cover.mod, cover.items + pad)
+
+
 @st.composite
 def box_covers(draw):
     """Covers of any boxes, empty parts included, with weights anywhere
@@ -405,7 +421,7 @@ def box_covers(draw):
     return WeightedBoxCover(n, k, mod, items)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(box_covers())
 def test_counts_and_check_match_reference(cover):
     assert_same_counts_and_report(cover)
@@ -429,7 +445,7 @@ def cancelling_box_covers(draw):
     return WeightedBoxCover(n, k, mod, draw(st.permutations(items)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(cancelling_box_covers())
 def test_cover_coefficients_are_the_expansion_of_the_cover_circuit(cover):
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
@@ -451,6 +467,39 @@ def test_counts_match_reference_at_every_field_width(k, total):
     assert_same_counts_and_report(cover)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bound", [2**8 - 1, 2**8, 2**16 - 1, 2**16])
+def test_counts_match_reference_at_every_first_index_bound(k, bound):
+    # the items whose first part is {j} weigh bound - n + j in all, so the
+    # largest such sum is the last index's, and it falls on one cell alone,
+    # (n, 1, ..., 1); the total is about n times the bound
+    n = 5
+    mod = factorize(6 * 2**32)
+    full = [range(1, n + 1)] * (k - 1)
+    items = [(Box.of({j}, *full), bound - n + j - (j == n)) for j in range(1, n + 1)]
+    items.append((Box.of({n}, *[{1}] * (k - 1)), 1))
+    cover = WeightedBoxCover(n, k, mod, items)
+    total = sum(w for _, w in items)
+    assert field_width(total) > field_width(bound - 1)
+    assert _counts(cover).itemsize == field_width(bound)
+    assert max(reference_counts(cover)) == bound
+    assert_same_counts_and_report(cover)
+
+
+@pytest.mark.parametrize(
+    "build, itemsize",
+    [
+        (lambda: build_s2_cover(2048, factorize(6)), 1),
+        (lambda: build_s2_cover(512, factorize(35)), 1),
+        (lambda: build_sk_cover(10, 4, factorize(385), seed=0), 4),
+    ],
+    ids=["s2-cells", "s2-expand", "sk-boxes"],
+)
+def test_count_table_width_on_the_benchmark_covers(build, itemsize):
+    # the benchmark's covers, as `build` makes them
+    assert _counts(build()).itemsize == itemsize
+
+
 def test_counts_reject_a_weight_sum_beyond_64_bits():
     mod = factorize(6 * 2**64)
     cover = WeightedBoxCover(2, 2, mod, [(Box.of({1}, {2}), 2**64)])
@@ -458,7 +507,7 @@ def test_counts_reject_a_weight_sum_beyond_64_bits():
         _counts(cover)
 
 
-def test_a_failing_count_on_repeated_and_distinct_cells_is_found():
+def assert_failing_count_is_found(table, itemsize):
     # 0 sits on the diagonal cells (1, 1) and (3, 3) and on (1, 2); 2 sits
     # on (2, 2) and (2, 1): each count also held by a repeated-index cell
     mod = factorize(6)
@@ -467,27 +516,58 @@ def test_a_failing_count_on_repeated_and_distinct_cells_is_found():
         (rect({1}, {3}), 1), (rect({2}, {1, 3}), 1), (rect({3}, {1, 2}), 1),
         (rect({2}, {2}), 2), (rect({2}, {1}), 1),
     ]
-    cover = WeightedBoxCover(3, 2, mod, items)
+    cover = table(WeightedBoxCover(3, 2, mod, items))
+    assert _counts(cover).itemsize == itemsize
     report = _check_properties(cover)
     found = [(v.cell, v.count) for v in report.violations]
     assert found == [((1, 2), 0), ((2, 1), 2), ((2, 2), 2)]
     assert_same_counts_and_report(cover)
-    fixed = WeightedBoxCover(3, 2, mod, items[:3] + [(rect({1}, {2}), 1)])
+    fixed = table(WeightedBoxCover(3, 2, mod, items[:3] + [(rect({1}, {2}), 1)]))
     assert _check_properties(fixed).ok
     assert_same_counts_and_report(fixed)
 
 
+def test_a_failing_count_on_repeated_and_distinct_cells_is_found():
+    assert_failing_count_is_found(lambda cover: cover, 1)
+
+
+def test_a_failing_count_on_a_wide_table_is_found():
+    # every count raised by a multiple of m
+    assert_failing_count_is_found(widened, 2)
+
+
 @pytest.mark.parametrize("m", [6, 35])
 def test_check_matches_reference_on_s2_covers(m):
+    # each case is judged on its one-byte table and, widened, on a wider one
     mod = factorize(m)
     for n in [*range(2, 65), 128, 255, 256, 257]:
         cover = build_s2_cover(n, mod)
         dropped = WeightedBoxCover(n, 2, mod, cover.items[1:])
         for case in (cover, dropped):
             expected = reference_check_properties(case)
-            assert _check_properties(case) == expected, n
-            assert _counts(case).tolist() == reference_counts(case), n
+            counts = reference_counts(case)
+            wide = widened(case)
+            raised = sum(w for _, w in wide.items[len(case.items):])
+            assert (_counts(case).itemsize, _counts(wide).itemsize) == (1, 2), n
+            assert _check_properties(case) == expected == _check_properties(wide), n
+            assert _counts(case).tolist() == counts, n
+            assert _counts(wide).tolist() == [c + raised for c in counts], n
         assert expected.ok is False and reference_check_properties(cover).ok, n
+
+
+@pytest.mark.parametrize(
+    "table, itemsize", [(lambda cover: cover, 1), (widened, 2)], ids=["one-byte", "wide"]
+)
+def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
+    mod = factorize(35)
+    cover = build_s2_cover(16, mod)
+    target = target_coefficients(16, 2, ordered=True)
+    for case, ok in ((cover, True), (WeightedBoxCover(16, 2, mod, cover.items[1:]), False)):
+        case = table(case)
+        assert _counts(case).itemsize == itemsize
+        coefficients = cover_coefficients(case)
+        assert coefficients == expand_coefficients(from_cover2d(case))
+        assert check_astrong(coefficients, target, mod).ok is ok
 
 
 def reference_choose_exponents(mod, d):
