@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .zmod import Modulus, UnsupportedModulusError, astrong_coeff_status, factorize, mod_inverse
+from .zmod import Modulus, astrong_coeff_status, factorize, mod_inverse
 from .cover2d import WeightedRectCover, build_s2_cover, multiplicity_table, verify_s2_properties
 from .coverkd import ConstructionError, build_sk_cover, members, verify_sk_properties
 from .circuit import (
@@ -27,7 +27,6 @@ from .circuit import (
 )
 from .astrong import check_astrong, target_coefficients
 from . import serialize
-from .serialize import SchemaError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -96,19 +95,25 @@ def cmd_build(args: argparse.Namespace) -> int:
         cover = build_sk_cover(args.n, k, mod, seed=args.seed or 0)
     circuit = (from_cover2d if cover.k == 2 else from_coverkd)(cover)
     s = size(circuit)
-    written = [args.out]
-    if args.circuit_out:
-        serialize.dump(serialize.circuit_to_dict(circuit), args.circuit_out)
-        written.append(args.circuit_out)
-    del circuit  # freed before the cover's text is written
+    written = []  # whole files; a failed dump removes its own partial one
+    try:
+        if args.circuit_out:
+            serialize.dump(serialize.circuit_to_dict(circuit), args.circuit_out)
+            written.append(args.circuit_out)
+        del circuit  # freed before the cover's text is written
 
-    serialize.dump(serialize.cover_to_dict(cover), args.out)
-    print(f"wrote {', '.join(written)}")
-    print(
-        f"items={len(cover.items)} bbr_degree={cover.meta['bbr_degree']} "
-        f"gate_total={s.gate_total} products={s.products} "
-        f"graph_model_count={s.graph_model_count}"
-    )
+        serialize.dump(serialize.cover_to_dict(cover), args.out)
+        written.append(args.out)
+        print(f"wrote {', '.join(reversed(written))}")
+        print(
+            f"items={len(cover.items)} bbr_degree={cover.meta['bbr_degree']} "
+            f"gate_total={s.gate_total} products={s.products} "
+            f"graph_model_count={s.graph_model_count}"
+        )
+    except BaseException:  # a build that fails leaves none of its files
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 
@@ -286,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConstructionError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return EXIT_CONSTRUCTION
-        except (UnsupportedModulusError, ValueError, SchemaError) as exc:
+        except ValueError as exc:  # SchemaError and UnsupportedModulusError too
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except OSError as exc:

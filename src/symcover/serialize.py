@@ -234,16 +234,22 @@ def _text(value):
 
 def dump(data, path: str | Path) -> None:
     """Write exactly `json.dumps(data, sort_keys=True)` and a newline,
-    one top-level value at a time."""
-    with open(path, "w") as fh:
-        if type(data) is dict and {*map(type, data)} == {str}:
-            for pos, key in enumerate(sorted(data)):
-                fh.write(f"{', ' if pos else '{'}{_ENCODER.encode(key)}: ")
-                fh.writelines(_text(data[key]))
-            fh.write("}")
-        else:
-            fh.writelines(_text(data))
-        fh.write("\n")
+    one top-level value at a time.  A write that fails removes the file
+    it opened, so no partial artifact is left."""
+    fh = open(path, "w")
+    try:
+        with fh:  # closing flushes, so a failed close is a failed write too
+            if type(data) is dict and {*map(type, data)} == {str}:
+                for pos, key in enumerate(sorted(data)):
+                    fh.write(f"{', ' if pos else '{'}{_ENCODER.encode(key)}: ")
+                    fh.writelines(_text(data[key]))
+                fh.write("}")
+            else:
+                fh.writelines(_text(data))
+            fh.write("\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def load(path: str | Path, digest=None) -> dict:

@@ -89,20 +89,6 @@ def from_weight_values(values: list[int], ell: int, mod: Modulus) -> SymmetricPo
     return SymmetricPolynomial(ell, _trim(coeffs), mod)
 
 
-def amplify(x: int, p: int, e: int) -> int:
-    """Beigel-Tarui modulus amplification, reported mod p^e.
-
-    A_e has degree 2e-1 and lifts 0/1 behaviour mod p to mod p^e:
-    x = 0 (mod p) gives A_e(x) = 0 (mod p^e), x = 1 (mod p) gives 1.
-    A_1 is the identity.
-    """
-    if e < 1:
-        raise ValueError(f"amplification exponent must be >= 1, got {e}")
-    q = p**e
-    head = sum(math.comb(e - 1 + j, j) * pow(x, j, q) for j in range(e)) % q
-    return (1 - pow(1 - x, e, q) * head) % q
-
-
 def choose_exponents(mod: Modulus, d: int) -> ExponentChoice:
     """Pick a_1..a_r with prod p_i^a_i >= d+1 minimizing the degree bound.
 
@@ -139,12 +125,15 @@ def bbr_construct(mod: Modulus, d: int, ell: int) -> SymmetricPolynomial:
     Per factor i the indicator [w mod p_i^a_i != 0] is realized mod p_i
     by 1 - prod_{t<a_i} (1 - e_{p_i^t}(z)^(p_i - 1)): by Lucas' theorem
     e_{p^t} evaluates to the t-th base-p digit of w, and Fermat turns a
-    nonzero digit into 1.  Amplification lifts the 0/1 pattern to mod
-    p_i^e_i without disturbing it, so per weight the value mod p_i^e_i
-    IS the indicator bit, and the construction never needs the symbolic
-    product: it fills in the CRT-combined weight-value table directly
-    and binomial-inverts.  Degree stays below the symbolic composition's
-    degree (2e_i-1)(p_i^a_i-1), which is what choose_exponents balanced.
+    nonzero digit into 1.  The table entry at weight w is the CRT
+    combination of these bits, one per factor, and f is the binomial
+    inversion of the table on weights 0..D, D = min(degree bound, ell).
+    The Beigel-Tarui lift of that expression to mod p_i^e_i keeps every
+    bit and has degree (2e_i-1)(p_i^a_i-1), so the lifts combined by CRT
+    give a polynomial in ell variables of degree at most D, which its
+    values on weights 0..D determine: f is that polynomial, and (ii)
+    holds at every weight up to ell.  The lift is never run; it only
+    sets the bound that choose_exponents balances.
 
     Since prod p_i^a_i > d, no weight in 1..d is divisible by every
     p_i^a_i, which gives (i).
@@ -156,9 +145,6 @@ def bbr_construct(mod: Modulus, d: int, ell: int) -> SymmetricPolynomial:
     degree = min(choice.degree_bound, ell)
     table = []
     for w in range(degree + 1):
-        bits = [
-            amplify(int(w % p**a != 0), p, e)
-            for (p, e), a in zip(mod.factors, choice.exponents)
-        ]
+        bits = [int(w % p**a != 0) for (p, _), a in zip(mod.factors, choice.exponents)]
         table.append(crt_combine(bits, mod))
     return from_weight_values(table, ell, mod)

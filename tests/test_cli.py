@@ -81,6 +81,25 @@ def test_build_rejects_circuit_out_naming_the_cover(tmp_path, capsys, monkeypatc
     assert not list(tmp_path.iterdir())
 
 
+def test_failed_build_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # the cover's directory is missing, so its open fails after the circuit is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--poly", "s2", "--n", "16", "--m", "6", "--out", "nodir/a.json",
+                 "--circuit-out", "c.json"]) == 2
+    assert "i/o error: [Errno 2] No such file or directory: 'nodir/a.json'" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
+def test_build_failing_mid_write_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("symcover.serialize.cover_to_dict", lambda cover: {"items": [object()]})
+    with pytest.raises(TypeError):
+        main(["build", "--poly", "s2", "--n", "16", "--m", "6", "--out", "a.json",
+              "--circuit-out", "c.json"])
+    assert not list(tmp_path.iterdir())
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
@@ -144,6 +163,14 @@ def test_verify_rejects_index_zero(tmp_path, capsys):
     cover.write_text(json.dumps(data))
     assert main(["verify", "--in", str(cover), "--expansion-budget", "0"]) == 2
     assert "outside 1..16" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_circuit_artifact(tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    _build(tmp_path, "--circuit-out", str(circuit))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(circuit)]) == 2
+    assert "artifact kind 'circuit' is not rect or box" in capsys.readouterr().err
 
 
 def _box_artifact(n, k, items):

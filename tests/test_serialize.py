@@ -421,6 +421,15 @@ def test_dump_writes_the_bytes_of_json_dumps(tmp_path_factory, value, shared, fo
         assert path.read_text() == json.dumps(data, sort_keys=True) + "\n"
 
 
+def test_a_failed_dump_leaves_no_file(tmp_path):
+    # "a" is written before "b" fails to encode; the old text was truncated
+    path = tmp_path / "dump.json"
+    path.write_text("old")
+    with pytest.raises(TypeError):
+        serialize.dump({"a": [1, 2], "b": object()}, path)
+    assert not path.exists()
+
+
 @given(pool=st.lists(_values, min_size=1, max_size=4),
        length=st.sampled_from([0, 1, serialize.SLICE, serialize.SLICE + 1,
                                2 * serialize.SLICE + 1]))
