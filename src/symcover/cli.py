@@ -1,8 +1,8 @@
 """Batch front end: build covers and circuits, verify them, report sizes,
 export the bipartite-graph view.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
-3 construction failure, 4 unsupported-modulus guard on export.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error or
+out of memory, 3 construction failure, 4 unsupported-modulus guard on export.
 """
 
 from __future__ import annotations
@@ -296,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError:  # not 1, which would read as a verification failure
+            print(f"error: not enough memory for {args.command}", file=sys.stderr)
             return EXIT_USAGE
     finally:
         if enabled:

@@ -1,4 +1,5 @@
-"""Versioned JSON artifacts for covers and circuits.
+"""Versioned JSON artifacts: covers are written and read, circuits are
+only written (no command takes a circuit in).
 
 One self-describing schema for covers of every k: the file carries the
 modulus with its factorization and the construction metadata, so a
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .zmod import Modulus, factorize
 from .coverkd import Box, WeightedBoxCover, mask_of, members
-from .circuit import Gate, SigmaPiSigmaCircuit, VariableSpace
+from .circuit import SigmaPiSigmaCircuit
 
 SCHEMA_VERSION = 1
 
@@ -30,26 +31,6 @@ class SchemaError(ValueError):
 
 def _mod_fields(mod: Modulus) -> dict:
     return {"m": mod.m, "factors": [list(f) for f in mod.factors]}
-
-
-def _header(data: dict, kinds: tuple[str, ...]) -> tuple[str, int, Modulus]:
-    """The fields every artifact leads with: the schema version, a kind
-    among kinds, n >= 2, and the modulus the artifact names, refactorized:
-    stored factors that disagree with it would have the checks run against
-    another modulus."""
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {data['schema_version']}")
-    kind, n, m = data["kind"], data["n"], data["m"]
-    if kind not in kinds:
-        raise SchemaError(f"artifact kind {kind!r} is not {' or '.join(kinds)}")
-    if type(n) is not int or n < 2:
-        raise SchemaError(f"n must be an integer >= 2, got {n!r}")
-    if type(m) is not int or m < 2:
-        raise SchemaError(f"modulus must be an integer >= 2, got {m!r}")
-    mod = factorize(m)
-    if data["factors"] != [list(f) for f in mod.factors]:
-        raise SchemaError(f"stored factors {data['factors']} do not factor m = {m}")
-    return kind, n, mod
 
 
 def cover_to_dict(cover: WeightedBoxCover) -> dict:
@@ -116,16 +97,28 @@ def _items(records: list, n: int, k: int, m: int) -> list:
 
 def cover_from_dict(data: dict) -> WeightedBoxCover:
     """Read either cover kind, rejecting anything the checks could
-    misread: n < 2, k outside 2..n, n**k beyond any table's size, a
+    misread: a schema version or kind it does not know, n < 2, m < 2,
+    stored factors that do not factor m (the checks would run against
+    another modulus), k outside 2..n, n**k beyond any table's size, a
     part count other than k, an index outside 1..n (it would alias into
     a neighbouring cell) or repeated in its part (it would be judged as
     written once), a weight outside 1..m-1, weights summing to 2**64 or
-    more (a cell count would overflow the check's widest field), stored
-    factors that do not factor m, or a meta that is not an object (a
-    missing one reads as {}).  Items are read in one loop, and
-    a refused one is the first item at fault."""
+    more (a cell count would overflow the check's widest field), or a
+    meta that is not an object (a missing one reads as {}).  Items are
+    read in one loop, and a refused one is the first item at fault."""
     try:
-        kind, n, mod = _header(data, ("rect", "box"))
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {data['schema_version']}")
+        kind, n, m = data["kind"], data["n"], data["m"]
+        if kind not in ("rect", "box"):
+            raise SchemaError(f"artifact kind {kind!r} is not rect or box")
+        if type(n) is not int or n < 2:
+            raise SchemaError(f"n must be an integer >= 2, got {n!r}")
+        if type(m) is not int or m < 2:
+            raise SchemaError(f"modulus must be an integer >= 2, got {m!r}")
+        mod = factorize(m)
+        if data["factors"] != [list(f) for f in mod.factors]:
+            raise SchemaError(f"stored factors {data['factors']} do not factor m = {m}")
         k = data["k"]
         if type(k) is not int or k < 2 or (kind == "rect" and k != 2):
             raise SchemaError(f"a {kind} cover cannot have k = {k!r}")
@@ -137,7 +130,7 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
         meta = data.get("meta", {})
         if type(meta) is not dict:
             raise SchemaError(f"meta must be a JSON object, not {type(meta).__name__}")
-        items = _items(data["items"], n, k, mod.m)
+        items = _items(data["items"], n, k, m)
         # the check counts cells in fields of at most 64 bits
         total = sum(map(operator.itemgetter(1), items))
         if total >= 2**64:
@@ -168,50 +161,6 @@ def circuit_to_dict(c: SigmaPiSigmaCircuit) -> dict:
             for g in c.gates
         ],
     }
-
-
-def circuit_from_dict(data: dict) -> SigmaPiSigmaCircuit:
-    """Read a circuit, rejecting n < 2, groups that are not distinct
-    strings, a group not in groups, an index outside 1..n, a coefficient
-    outside 0..m-1, a repetition below 1, a variable repeated within one
-    form (a dict would merge it), or stored factors that do not factor m.
-    A variable shared by two forms of a gate is left to
-    `expand_coefficients`, which rejects it as not multilinear."""
-    try:
-        _, n, mod = _header(data, ("circuit",))
-        groups = data["groups"]
-        if type(groups) is not list or not {*map(type, groups)} <= {str} or (
-            len(set(groups)) != len(groups)
-        ):
-            raise SchemaError(f"groups must be a list of distinct strings, got {groups!r}")
-        known = set(groups)
-        gates = []
-        for pos, g in enumerate(data["gates"]):
-            rep = g["repetition"]
-            if type(rep) is not int or rep < 1:
-                raise SchemaError(f"gate {pos} repetition {rep!r} is not an integer >= 1")
-            forms = []
-            for triples in g["forms"]:
-                coeffs: dict[tuple[str, int], int] = {}
-                for grp, idx, coef in triples:
-                    if grp not in known:
-                        raise SchemaError(f"gate {pos} names group {grp!r}, not in {groups}")
-                    if type(idx) is not int or not 1 <= idx <= n:
-                        raise SchemaError(f"gate {pos} has an index outside 1..{n}: {idx!r}")
-                    if type(coef) is not int or not 0 <= coef < mod.m:
-                        raise SchemaError(
-                            f"gate {pos} coefficient {coef!r} is not in 0..{mod.m - 1}"
-                        )
-                    coeffs[grp, idx] = coef
-                if len(coeffs) != len(triples):
-                    raise SchemaError(f"gate {pos} repeats a variable within one form")
-                forms.append(coeffs)
-            gates.append(Gate(forms, repetition=rep))
-        return SigmaPiSigmaCircuit(mod, VariableSpace(tuple(groups), n), gates)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"malformed circuit artifact: {exc}") from exc
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True)

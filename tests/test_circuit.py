@@ -28,7 +28,6 @@ from symcover.circuit import (
     size,
 )
 from symcover.astrong import target_coefficients
-from symcover.serialize import circuit_from_dict, circuit_to_dict
 
 from naive_boxes import box_multiplicity
 from naive_circuits import naive_ordered_snk_circuit, naive_snk_circuit
@@ -189,11 +188,13 @@ def test_expansion_is_the_cover_count_table(make):
     circuit = to_circuit(cover)
     assert expand_coefficients(circuit) == expected
     assert cover_coefficients(cover) == expected
-    # read back, every gate holds forms of its own, as on the disk path
-    read_back = circuit_from_dict(circuit_to_dict(circuit))
-    forms = [f for g in read_back.gates for f in g.forms]
+    # with every form a separate object, shared by no two gates, it expands the same
+    unshared = SigmaPiSigmaCircuit(circuit.mod, circuit.vars, [
+        Gate([dict(f) for f in g.forms], repetition=g.repetition) for g in circuit.gates
+    ])
+    forms = [f for g in unshared.gates for f in g.forms]
     assert len({*map(id, forms)}) == len(forms)
-    assert expand_coefficients(read_back) == cover_coefficients(cover)
+    assert expand_coefficients(unshared) == cover_coefficients(cover)
 
 
 def test_cell_monomials_are_row_major_in_group_name_order():

@@ -173,6 +173,45 @@ def test_verify_refuses_a_circuit_artifact(tmp_path, capsys):
     assert "artifact kind 'circuit' is not rect or box" in capsys.readouterr().err
 
 
+def test_export_refuses_a_circuit_artifact(tmp_path, capsys):
+    circuit, out_dir = tmp_path / "circuit.json", tmp_path / "d"
+    _build(tmp_path, "--circuit-out", str(circuit))
+    capsys.readouterr()
+    assert main(["export-dot", "--in", str(circuit), "--out-dir", str(out_dir)]) == 2
+    assert "artifact kind 'circuit' is not rect or box" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "patched, argv",
+    [
+        ("symcover.cli.build_s2_cover",
+         ["build", "--poly", "s2", "--n", "16", "--m", "6", "--out", "cover.json",
+          "--circuit-out", "circuit.json"]),
+        ("symcover.cli.build_sk_cover",
+         ["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "6", "--out", "cover.json",
+          "--circuit-out", "circuit.json"]),
+        # the circuit file is written by then, and is removed
+        ("symcover.serialize.cover_to_dict",
+         ["build", "--poly", "s2", "--n", "16", "--m", "6", "--out", "cover.json",
+          "--circuit-out", "circuit.json"]),
+        ("symcover.cli.build_s2_cover",
+         ["report", "--poly", "s2", "--n", "16,64", "--m", "6", "--csv", "sizes.csv"]),
+    ],
+    ids=["build-s2", "build-sk", "build-cover-write", "report"],
+)
+def test_a_build_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, patched, argv):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(patched, out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: not enough memory for {argv[0]}\n"
+    assert "Traceback" not in out + err and not [*tmp_path.iterdir()]
+
+
 def _box_artifact(n, k, items):
     return {"schema_version": 1, "kind": "box", "n": n, "k": k, "m": 6,
             "factors": [[2, 1], [3, 1]], "items": items, "meta": {}}
