@@ -98,11 +98,9 @@ def initial_cover(n: int, mod: Modulus | None = None) -> WeightedBoxCover:
 
 def multiplicity_table(cover: WeightedBoxCover) -> list[list[int]]:
     """All n*n multiplicities at once (row-major, 0-indexed)."""
-    counts = _counts(cover).tolist()
-    if cover.mod:
-        counts = list(map(cover.mod.m.__rmod__, counts))
-    n = cover.n
-    return [counts[r * n : (r + 1) * n] for r in range(n)]
+    n, counts = cover.n, _counts(cover)
+    values = [*map(cover.mod.m.__rmod__, counts)] if cover.mod else counts.tolist()
+    return [values[r * n : (r + 1) * n] for r in range(n)]
 
 
 def transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:

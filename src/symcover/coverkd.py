@@ -240,11 +240,9 @@ def initial_box_cover(h: HashMatrix, mod: Modulus | None = None) -> WeightedBoxC
 def box_multiplicity_table(cover: WeightedBoxCover) -> dict[tuple[int, ...], int]:
     """Sparse table of all covered tuples; absent tuples have count 0."""
     counts = _counts(cover)
-    table = {_cell(i, cover.n, cover.k): c for i, c in enumerate(counts) if c}
-    if cover.mod:
-        m = cover.mod.m
-        return {tup: v % m for tup, v in table.items()}
-    return table
+    cells = itertools.compress(itertools.product(range(1, cover.n + 1), repeat=cover.k), counts)
+    values = itertools.compress(counts, counts)
+    return dict(zip(cells, map(cover.mod.m.__rmod__, values) if cover.mod else values))
 
 
 def _transform(cover: WeightedBoxCover, f: SymmetricPolynomial) -> WeightedBoxCover:
@@ -411,11 +409,6 @@ def _counts(cover: WeightedBoxCover) -> array.array:
     return counts
 
 
-def _cell(index: int, n: int, k: int) -> tuple[int, ...]:
-    """The 1-based tuple at a flat index of _counts."""
-    return tuple(index // n ** (k - 1 - l) % n + 1 for l in range(k))
-
-
 def _repeated_cells(n: int, k: int) -> set[int]:
     """Flat indices of the tuples with some index repeated.  For positions
     a < b and each choice of the other entries, the tuples with j_a = j_b
@@ -431,38 +424,37 @@ def _repeated_cells(n: int, k: int) -> set[int]:
 
 
 def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
-    """Exhaustive check of all n**k cells: repeated-index tuples must
-    count 0 mod m, distinct-index tuples must carry the unit-pattern
-    property.  Verdicts are computed once per count that occurs.  The
-    repeated-index cells are judged one by one; the other cells are
-    looked at one by one only when a count failing the unit pattern
-    occurs among them.  A table of one byte per cell is judged by
+    """Exhaustive check of all n**k cells against one verdict table, the
+    unit-pattern property.  A repeated-index tuple must count 0 mod m, so
+    its count is first replaced by 1 if it does and by 0 if not: 1 meets
+    the unit pattern for every m, 0 for none.  Verdicts are computed once
+    per count that occurs.  A table of one byte per cell is judged by
     bytes.translate through a 256-entry byte table, at C speed: once to
     delete every count that meets the unit pattern, and, if any count is
-    left, once more to flag the cells that hold one."""
+    left, once more to flag the cells that hold one.  The flags pick the
+    failing cells, in row-major order, out of one enumeration of all
+    cells; a repeated-index cell's witness keeps its own count, target 0."""
     if cover.mod is None:
         raise ValueError("cover has no modulus to verify against")
     mod, n, k = cover.mod, cover.n, cover.k
     counts = _counts(cover)
     repeated = {i: counts[i] for i in _repeated_cells(n, k)}
-    for i in repeated:
-        counts[i] = 1  # a unit-pattern count: only distinct-index cells can fail below
-    bad0 = {c for c in set(repeated.values()) if not astrong_coeff_status(0, c, mod)[0]}
-    bytewise = counts.itemsize == 1
-    if bytewise:
-        cells = counts.tobytes()
-        passing = bytes(c for c in range(256) if astrong_coeff_status(1, c, mod)[0])
-        bad1 = set(cells.translate(None, passing))
+    for i, c in repeated.items():
+        counts[i] = c % mod.m == 0
+    if counts.itemsize == 1:
+        table = counts.tobytes()
+        fails = bytes(not astrong_coeff_status(1, c, mod)[0] for c in range(256))
+        passing = bytes(c for c in range(256) if not fails[c])
+        flags = table.translate(fails) if table.translate(None, passing) else b""
     else:
-        bad1 = {c for c in set(counts) if not astrong_coeff_status(1, c, mod)[0]}
-    failing = {i: (c, 0) for i, c in repeated.items() if c in bad0}
-    if bad1:
-        flags = (cells.translate(bytes(map(bad1.__contains__, range(256)))) if bytewise
-                 else map(bad1.__contains__, counts))
-        failing.update((i, (counts[i], 1)) for i in itertools.compress(itertools.count(), flags))
-    violations = [CellViolation(_cell(i, n, k), c % mod.m, target)
-                  for i, (c, target) in sorted(failing.items())]
-    return PropertyReport(not violations, violations, len(counts))
+        bad = {c for c in set(counts) if not astrong_coeff_status(1, c, mod)[0]}
+        flags = bytes(map(bad.__contains__, counts)) if bad else b""
+    if not flags:
+        return PropertyReport(True, [], len(counts))
+    cells = itertools.compress(itertools.product(range(1, n + 1), repeat=k), flags)
+    violations = [CellViolation(cell, repeated.get(i, counts[i]) % mod.m, int(i not in repeated))
+                  for i, cell in zip(itertools.compress(itertools.count(), flags), cells)]
+    return PropertyReport(False, violations, len(counts))
 
 
 def verify_sk_properties(cover: WeightedBoxCover) -> PropertyReport:

@@ -201,15 +201,24 @@ def dump(data, path: str | Path) -> None:
         raise
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object that names one value per key; the first key it repeats is refused."""
+    if len(obj := dict(pairs)) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise SchemaError(f"JSON object repeats the key {key!r}")
+    return obj
+
+
 def load(path: str | Path, digest=None) -> dict:
     """Parse a JSON artifact; `digest` (a hashlib object), if given, is
-    updated with exactly the bytes that were parsed.  Text that is not
-    JSON, or nests too deeply or is too large to parse, is a SchemaError."""
+    updated with exactly the bytes that were parsed.  Text that is not JSON,
+    nests too deeply, is too large to parse or repeats a key is a SchemaError."""
     try:
         raw = Path(path).read_bytes()
         if digest is not None:
             digest.update(raw)
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=_object)
     except MemoryError:
         raise SchemaError(f"not enough memory to parse {path}") from None
     except json.JSONDecodeError as exc:

@@ -15,6 +15,7 @@ from symcover.cli import _parse_args, main
 from symcover.zmod import factorize, mod_inverse
 from symcover.circuit import from_cover2d, size
 from symcover.cover2d import build_s2_cover
+from symcover.coverkd import _counts
 
 
 def _build(tmp_path, *extra):
@@ -180,6 +181,29 @@ def test_export_refuses_a_circuit_artifact(tmp_path, capsys):
     assert main(["export-dot", "--in", str(circuit), "--out-dir", str(out_dir)]) == 2
     assert "artifact kind 'circuit' is not rect or box" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["export-dot", "--out-dir", "d"]])
+@pytest.mark.parametrize(
+    "key, before, repeat",
+    [("m", "{", '"m": 35, "n": 2, '), ("weight", '"weight"', '"weight": 3, ')],
+    ids=["top-level", "item"],
+)
+def test_an_artifact_that_repeats_a_key_is_refused(
+    tmp_path, capsys, monkeypatch, command, key, before, repeat
+):
+    # the file names two values for the key, and a parser keeps either one:
+    # the last, the cover's own, would pass
+    monkeypatch.chdir(tmp_path)
+    cover = _build(tmp_path)
+    text = cover.read_text()
+    at = text.index(before) + (before == "{")
+    cover.write_text(text[:at] + repeat + text[at:])
+    capsys.readouterr()
+    assert main([*command, "--in", str(cover)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: JSON object repeats the key {key!r}\n"
+    assert "Traceback" not in out + err and not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize(
@@ -382,7 +406,7 @@ def test_verify_reports_check_out_of_memory(tmp_path, capsys, monkeypatch):
 def test_reader_reports_part_mask_out_of_memory(tmp_path, capsys, monkeypatch, command):
     # n**2 fits the guard, but the mask of part [n] takes n + 1 bytes to make;
     # then the parse itself runs out of memory, as on a large artifact
-    def out_of_memory(*args):
+    def out_of_memory(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.chdir(tmp_path)
@@ -466,6 +490,39 @@ def test_verify_caps_witness_lines(tmp_path, capsys):
     assert len(lines) == 2 + 21 + 1 + 21
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9efad3f3e771c707e9a225549d17893b548bfa56e9a6b8ca653c87542164a788"
+    )
+
+
+@pytest.mark.parametrize("pairs, itemsize", [(0, 1), (43, 2)], ids=["one-byte", "wide"])
+def test_verify_prints_target_0_and_target_1_cells_in_row_major_order(
+    tmp_path, capsys, pairs, itemsize
+):
+    # a full box counts every diagonal cell; (2, 2) then counts 6, which is
+    # 0 mod 6, and (1, 2), (1, 3) count 2; the wide twin adds 43 pairs of
+    # full boxes weighing 1 and 5, 258 in all, to every cell
+    full = [[1, 2, 3], [1, 2, 3]]
+    items = [([[1], [2, 3]], 1), (full, 1), ([[2], [2]], 5), ([[3], [3]], 1)]
+    items += [(full, 1), (full, 5)] * pairs
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({
+        "schema_version": 1, "kind": "rect", "n": 3, "k": 2, "m": 6,
+        "factors": [[2, 1], [3, 1]], "meta": {},
+        "items": [{"parts": parts, "weight": w} for parts, w in items],
+    }))
+    assert _counts(serialize.cover_from_dict(serialize.load(cover))).itemsize == itemsize
+    assert main(["verify", "--in", str(cover)]) == 1
+    digest = hashlib.sha256(cover.read_bytes()).hexdigest()
+    assert capsys.readouterr().out == f"artifact: sha256 {digest}\n" + (
+        "properties: fail (4 violations): 9 cells checked\n"
+        "  cell (1, 1): count 1 has residues [1, 1] per 6 = 2*3, target 0\n"
+        "  cell (1, 2): count 2 has residues [0, 2] per 6 = 2*3, target 1\n"
+        "  cell (1, 3): count 2 has residues [0, 2] per 6 = 2*3, target 1\n"
+        "  cell (3, 3): count 2 has residues [0, 2] per 6 = 2*3, target 0\n"
+        "a-strong: fail (4 of 8 monomials)\n"
+        "  x1*y1: target 0 actual 1 residues 0|1 0|1\n"
+        "  x1*y2: target 1 actual 2 residues 1|0 1|2\n"
+        "  x1*y3: target 1 actual 2 residues 1|0 1|2\n"
+        "  x3*y3: target 0 actual 2 residues 0|0 0|2\n"
     )
 
 

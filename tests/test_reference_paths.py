@@ -5,8 +5,9 @@ implementations: same coefficient maps, same counts, same reports, same
 choices, same errors.  The coefficients verify reads off a cover's count
 table are checked against the expansion of the cover's circuit.  Count
 tables of one byte per cell are judged through byte tables and wider
-ones cell by cell, so both kinds are checked, on passing and failing
-covers."""
+ones through a set of failing counts, so both kinds are checked, on
+passing and failing covers; the reference decodes flat indices with its
+own cell_at."""
 
 import itertools
 
@@ -21,7 +22,6 @@ from symcover.coverkd import (
     CellViolation,
     PropertyReport,
     WeightedBoxCover,
-    _cell,
     _check_properties,
     _counts,
     _repeated_cells,
@@ -49,7 +49,7 @@ from symcover.astrong import (
 
 MODULI = [factorize(m) for m in (6, 12, 35, 385)]
 # the count table's property tests run 300 examples, or more under a
-# profile that asks for more (the counts profile in conftest.py)
+# profile that asks for more (the long profile in conftest.py)
 COUNT_EXAMPLES = max(300, settings().max_examples)
 
 
@@ -341,10 +341,20 @@ def test_ordered_target_is_its_definition():
             assert target_coefficients(n, k, ordered=True) == expected
 
 
+def cell_at(index, n, k):
+    """The 1-based tuple at a flat row-major index: its k base-n digits,
+    most significant first, each plus 1."""
+    digits = []
+    for _ in range(k):
+        index, j = divmod(index, n)
+        digits.append(j + 1)
+    return tuple(reversed(digits))
+
+
 def test_repeated_cells_are_their_definition():
     for n in range(1, 8):
         for k in range(1, 5):
-            expected = {i for i in range(n**k) if len(set(_cell(i, n, k))) < k}
+            expected = {i for i in range(n**k) if len(set(cell_at(i, n, k))) < k}
             assert _repeated_cells(n, k) == expected
 
 
@@ -372,11 +382,11 @@ def reference_check_properties(cover):
         target: {c: not astrong_coeff_status(target, c, mod)[0] for c in set(counts)}
         for target in (0, 1)
     }
-    suspects = {i for i in range(n**k) if len(set(_cell(i, n, k))) < k}
+    suspects = {i for i in range(n**k) if len(set(cell_at(i, n, k))) < k}
     suspects.update(itertools.compress(range(len(counts)), map(bad[1].__getitem__, counts)))
     violations = []
     for i in sorted(suspects):
-        cell, d = _cell(i, n, k), counts[i] % mod.m
+        cell, d = cell_at(i, n, k), counts[i] % mod.m
         target = int(len(set(cell)) == k)
         if bad[target][counts[i]]:
             violations.append(CellViolation(cell, d, target))
@@ -388,7 +398,7 @@ def assert_same_counts_and_report(cover):
     assert _counts(cover).tolist() == expected
     assert _check_properties(cover) == reference_check_properties(cover)
     m = cover.mod.m
-    table = {_cell(i, cover.n, cover.k): c % m for i, c in enumerate(expected) if c}
+    table = {cell_at(i, cover.n, cover.k): c % m for i, c in enumerate(expected) if c}
     assert box_multiplicity_table(cover) == table
     if cover.k == 2:
         n = cover.n
@@ -425,6 +435,8 @@ def box_covers(draw):
 @given(box_covers())
 def test_counts_and_check_match_reference(cover):
     assert_same_counts_and_report(cover)
+    # judged again on a wide table: both verdict paths meet the reference
+    assert _check_properties(widened(cover)) == reference_check_properties(cover)
 
 
 @st.composite
