@@ -1,24 +1,3 @@
 """Depth-3 circuits for elementary symmetric polynomials modulo composite,
 non-prime-power numbers, built from weighted rectangle and box covers and
 shipped with exhaustive desk-scale verifiers."""
-
-from .zmod import Modulus, factorize
-from .cover2d import build_s2_cover, verify_s2_properties
-from .coverkd import build_sk_cover, verify_sk_properties
-from .circuit import from_cover2d, from_coverkd, evaluate, expand_coefficients
-from .astrong import check_astrong, target_coefficients
-
-__all__ = [
-    "Modulus",
-    "factorize",
-    "build_s2_cover",
-    "verify_s2_properties",
-    "build_sk_cover",
-    "verify_sk_properties",
-    "from_cover2d",
-    "from_coverkd",
-    "evaluate",
-    "expand_coefficients",
-    "check_astrong",
-    "target_coefficients",
-]

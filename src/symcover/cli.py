@@ -63,21 +63,25 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     build.add_argument("--seed", type=int, default=None, help="hash search seed for sk (default 0)")
     build.add_argument("--out", required=True, help="cover JSON path")
     build.add_argument("--circuit-out", default=None, help="circuit JSON path")
+    build.set_defaults(run=cmd_build)
 
     verify = sub.add_parser("verify", help="verify a cover artifact exhaustively")
     verify.add_argument("--in", dest="input", required=True)
     verify.add_argument("--expansion-budget", type=int, default=10_000_000)
+    verify.set_defaults(run=cmd_verify)
 
     report = sub.add_parser("report", help="size table over a range of n")
     report.add_argument("--poly", choices=["s2"], required=True)
     report.add_argument("--n", type=_int_list, required=True, help="comma-separated list")
     report.add_argument("--m", type=int, required=True)
     report.add_argument("--csv", required=True)
+    report.set_defaults(run=cmd_report)
 
     export = sub.add_parser("export-dot", help="bipartite graph cover export")
     export.add_argument("--in", dest="input", required=True)
     export.add_argument("--out-dir", required=True)
     export.add_argument("--format", dest="fmt", choices=["dot", "csv"], default="dot")
+    export.set_defaults(run=cmd_export_dot)
 
     return parser.parse_args(argv)
 
@@ -220,10 +224,29 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         )
         return EXIT_UNSUPPORTED_MODULUS
     inv2 = mod_inverse(2, m)
+    reps = [(rect, w * inv2 % m) for rect, w in cover.items]
+    # an edge {i, j} is covered by the graphs holding cell (i, j) or (j, i);
+    # the edges are counted before the out-dir is made, so a failure writes nothing
+    try:
+        counts = multiplicity_table(WeightedRectCover(cover.n, None, reps))
+        manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
+                    "graphs": sum(rep for _, rep in reps), "edges": []}
+        for i in range(cover.n):
+            for j in range(i + 1, cover.n):
+                count = counts[i][j] + counts[j][i]
+                ok, unit = astrong_coeff_status(1, count, cover.mod)
+                unit = unit if ok else None
+                manifest["edges"].append(
+                    {"edge": [i + 1, j + 1], "count": count, "factor_index": unit,
+                     "prime_power": cover.mod.prime_powers[unit] if unit is not None else None}
+                )
+    except MemoryError:
+        raise ValueError(
+            f"not enough memory for the n x n = {cover.n} x {cover.n} edge counts"
+        ) from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    reps = [(rect, w * inv2 % m) for rect, w in cover.items]
     graphs = 0
     # csv lines go out as each graph is made, so they are never all held
     csv_path = out_dir / "edges.csv"
@@ -244,24 +267,6 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
                     (out_dir / f"{name}.dot").write_text(_dot_graph(name, rows, cols))
             graphs += rep
 
-    # an edge {i, j} is covered by the graphs holding cell (i, j) or (j, i)
-    try:
-        counts = multiplicity_table(WeightedRectCover(cover.n, None, reps))
-        manifest = {"n": cover.n, "m": m, "factors": [list(f) for f in cover.mod.factors],
-                    "graphs": graphs, "edges": []}
-        for i in range(cover.n):
-            for j in range(i + 1, cover.n):
-                count = counts[i][j] + counts[j][i]
-                ok, unit = astrong_coeff_status(1, count, cover.mod)
-                unit = unit if ok else None
-                manifest["edges"].append(
-                    {"edge": [i + 1, j + 1], "count": count, "factor_index": unit,
-                     "prime_power": cover.mod.prime_powers[unit] if unit is not None else None}
-                )
-    except MemoryError:
-        raise ValueError(
-            f"not enough memory for the n x n = {cover.n} x {cover.n} edge counts"
-        ) from None
     serialize.dump(manifest, out_dir / "manifest.json")
     print(f"wrote {graphs} graphs and manifest to {out_dir}")
     return EXIT_OK
@@ -280,14 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
-        handlers = {
-            "build": cmd_build,
-            "verify": cmd_verify,
-            "report": cmd_report,
-            "export-dot": cmd_export_dot,
-        }
         try:
-            return handlers[args.command](args)
+            return args.run(args)
         except ConstructionError as exc:
             print(f"construction failed: {exc}", file=sys.stderr)
             return EXIT_CONSTRUCTION

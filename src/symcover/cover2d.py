@@ -42,7 +42,6 @@ class DigitScheme:
     so every index fits in `digits` digits.
     """
 
-    n: int
     base: int
     digits: int
 
@@ -72,7 +71,7 @@ def digit_scheme(n: int) -> DigitScheme:
     g = 1
     while base**g < n + 1:
         g += 1
-    return DigitScheme(n, base, g)
+    return DigitScheme(base, g)
 
 
 def initial_cover(n: int, mod: Modulus | None = None) -> WeightedBoxCover:

@@ -98,7 +98,8 @@ def _items(records: list, n: int, k: int, m: int) -> list:
 def cover_from_dict(data: dict) -> WeightedBoxCover:
     """Read either cover kind, rejecting anything the checks could
     misread: a schema version or kind it does not know, n < 2, m < 2,
-    stored factors that do not factor m (the checks would run against
+    a header number that is not an int (true and 1.0 equal 1), stored
+    factors that do not factor m (the checks would run against
     another modulus), k outside 2..n, n**k beyond any table's size, a
     part count other than k, an index outside 1..n (it would alias into
     a neighbouring cell) or repeated in its part (it would be judged as
@@ -107,8 +108,8 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
     meta that is not an object (a missing one reads as {}).  Items are
     read in one loop, and a refused one is the first item at fault."""
     try:
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {data['schema_version']}")
+        if type(version := data["schema_version"]) is not int or version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {version}")
         kind, n, m = data["kind"], data["n"], data["m"]
         if kind not in ("rect", "box"):
             raise SchemaError(f"artifact kind {kind!r} is not rect or box")
@@ -117,8 +118,9 @@ def cover_from_dict(data: dict) -> WeightedBoxCover:
         if type(m) is not int or m < 2:
             raise SchemaError(f"modulus must be an integer >= 2, got {m!r}")
         mod = factorize(m)
-        if data["factors"] != [list(f) for f in mod.factors]:
-            raise SchemaError(f"stored factors {data['factors']} do not factor m = {m}")
+        factors = data["factors"]  # equal is not enough: 1.0 == True == 1
+        if factors != [list(f) for f in mod.factors] or {*map(type, sum(factors, []))} != {int}:
+            raise SchemaError(f"stored factors {factors} do not factor m = {m}")
         k = data["k"]
         if type(k) is not int or k < 2 or (kind == "rect" and k != 2):
             raise SchemaError(f"a {kind} cover cannot have k = {k!r}")

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .zmod import Modulus, binom_mod, crt_combine
+from .zmod import Modulus, crt_combine
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def weight_value(f: SymmetricPolynomial, w: int) -> int:
     """Value of f on any 0/1 input with exactly w ones."""
     if not 0 <= w <= f.ell:
         raise ValueError(f"weight {w} outside 0..{f.ell}")
-    m = f.mod.m
-    return sum(c * binom_mod(w, t, m) for t, c in enumerate(f.coeffs)) % m
+    return sum(c * math.comb(w, t) for t, c in enumerate(f.coeffs)) % f.mod.m
 
 
 def from_weight_values(values: list[int], ell: int, mod: Modulus) -> SymmetricPolynomial:
@@ -77,14 +76,16 @@ def from_weight_values(values: list[int], ell: int, mod: Modulus) -> SymmetricPo
 
     Solves v_w = sum_{t<=w} c_t * C(w, t) by forward substitution; the
     diagonal entries C(t, t) = 1 are units in any Z_m, so no division
-    is ever needed.
+    is ever needed.  Each C(w, t) is math.comb's exact integer, reduced
+    with the sum: Z_m has zero divisors, so the binomial's quotient form
+    is not available there.
     """
     if len(values) - 1 > ell:
         raise ValueError(f"table of length {len(values)} needs ell >= {len(values) - 1}")
     m = mod.m
     coeffs: list[int] = []
     for w, v in enumerate(values):
-        acc = sum(coeffs[t] * binom_mod(w, t, m) for t in range(w)) % m
+        acc = sum(coeffs[t] * math.comb(w, t) for t in range(w)) % m
         coeffs.append((v - acc) % m)
     return SymmetricPolynomial(ell, _trim(coeffs), mod)
 

@@ -13,10 +13,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-# Residues per prime-power factor, in factor order.
-ResidueVector = list[int]
-
-
 class NotInvertibleError(ValueError):
     """Raised when an element has no multiplicative inverse mod m."""
 
@@ -45,7 +41,7 @@ class Modulus:
         # kept in the instance __dict__, outside the fields that eq and hash read
         return tuple(p**e for p, e in self.factors)
 
-    def residues(self, x: int) -> ResidueVector:
+    def residues(self, x: int) -> list[int]:
         """Decompose x into its residue vector (one entry per factor)."""
         return [x % q for q in self.prime_powers]
 
@@ -89,7 +85,7 @@ def factorize(m: int) -> Modulus:
     return Modulus(m, tuple(factors))
 
 
-def crt_combine(rv: ResidueVector, mod: Modulus) -> int:
+def crt_combine(rv: list[int], mod: Modulus) -> int:
     """Return the unique x in [0, m) with x = rv[i] mod p_i^e_i for every i."""
     if len(rv) != mod.r:
         raise ValueError(
@@ -111,15 +107,6 @@ def mod_inverse(a: int, m: int) -> int:
     if g != 1:
         raise NotInvertibleError(f"{a} is not invertible mod {m}: gcd = {g}")
     return pow(a, -1, m)
-
-
-def binom_mod(w: int, t: int, m: int) -> int:
-    """C(w, t) mod m, computed exactly over the integers before reducing.
-
-    Never uses modular division: Z_m has zero divisors, so the quotient
-    form of the binomial coefficient is not available there.
-    """
-    return math.comb(w, t) % m
 
 
 def astrong_coeff_status(

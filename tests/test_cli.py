@@ -723,6 +723,7 @@ def test_export_reports_count_table_out_of_memory(tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert main(["export-dot", "--in", str(cover), "--out-dir", str(tmp_path / "d")]) == 2
     assert "n x n = 4 x 4" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()  # the edges are counted before any graph is written
 
 
 def test_export_rejects_deeply_nested_json(tmp_path, capsys):

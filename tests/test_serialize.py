@@ -149,6 +149,11 @@ def _huge_m():
         (_rect, ["m"], 30, "do not factor m = 30"),
         (_box, ["factors"], [[5, 1], [7, 1], [1, 1]], "do not factor m = 35"),
         (_rect, ["m"], True, "modulus must be"),
+        # each equals the int the header needs: True == 1.0 == 1
+        (_rect, ["schema_version"], True, "unsupported schema_version True"),
+        (_rect, ["schema_version"], 1.0, r"unsupported schema_version 1\.0"),
+        (_rect, ["factors"], [[2.0, True], [3, 1.0]], "do not factor m = 6"),
+        (_box, ["factors", 1], [7, True], "do not factor m = 35"),
         (_huge_m, ["items", 0, "weight"], 2**64, r">= 2\*\*64"),
         (_rect, ["items"], 3, "malformed cover artifact"),
         (_rect, ["items"], {"0": {"parts": [[1], [2]], "weight": 1}}, "malformed cover artifact"),
@@ -174,6 +179,7 @@ def _huge_m():
         "part-count", "index-0", "index-n-plus-1", "index-not-int", "index-repeated",
         "bool-part-equal-to-a-read-part", "float-part-equal-to-a-read-part", "weight-0",
         "weight-m", "weight-not-int", "m-not-factored", "factors-not-of-m", "m-not-int",
+        "schema-version-bool", "schema-version-float", "factors-not-int", "exponent-bool",
         "weights-beyond-count-field", "items-int", "items-dict", "item-list",
         "item-without-parts", "item-without-weight", "part-null", "part-int", "parts-null",
         "index-str", "index-null", "index-nested-list", "part-str", "index-str-before-null-part",

@@ -8,7 +8,6 @@ from symcover.zmod import (
     NotInvertibleError,
     UnsupportedModulusError,
     astrong_coeff_status,
-    binom_mod,
     crt_combine,
     factorize,
     mod_inverse,
@@ -93,20 +92,6 @@ def test_mod_inverse_property():
         for a in range(1, m, step):
             if math.gcd(a, m) == 1:
                 assert mod_inverse(a, m) * a % m == 1
-
-
-def test_binom_examples():
-    assert binom_mod(5, 2, 6) == 4
-    assert binom_mod(4, 2, 2) == 0
-    assert binom_mod(3, 5, 7) == 0
-
-
-def test_binom_lucas_digits():
-    # C(w, p^t) mod p equals the t-th base-p digit of w.
-    for p in (2, 3, 5, 7, 11, 13):
-        for w in range(p**3):
-            for t in range(3):
-                assert binom_mod(w, p**t, p) == (w // p**t) % p
 
 
 def test_astrong_coeff_status():
