@@ -13,19 +13,15 @@ on either side only are compared against 0.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .zmod import Modulus, astrong_coeff_status
 from .circuit import Monomial, cell_monomials
 from .coverkd import _repeated_cells
 
 
-@dataclass
-class MonomialWitness:
-    monomial: Monomial
-    target: int
-    actual: int
+class MonomialWitness(namedtuple("MonomialWitness", "monomial target actual")):
+    __slots__ = ()
 
     def line(self, mod: Modulus) -> str:
         """The monomial, both coefficients and their residues per factor."""
@@ -34,11 +30,8 @@ class MonomialWitness:
         return f"{mono}: target {self.target} actual {self.actual} residues {pairs}"
 
 
-@dataclass
-class AStrongReport:
-    ok: bool
-    violations: list[MonomialWitness]
-    checked: int
+class AStrongReport(namedtuple("AStrongReport", "ok violations checked")):
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.ok:

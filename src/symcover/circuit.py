@@ -17,8 +17,8 @@ import array
 import itertools
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
 from .coverkd import WeightedBoxCover, _counts, members
@@ -31,12 +31,10 @@ class BudgetExceededError(RuntimeError):
     """Raised when a symbolic expansion would produce too many terms."""
 
 
-@dataclass(frozen=True)
-class VariableSpace:
+class VariableSpace(namedtuple("VariableSpace", "groups n")):
     """k named groups of n variables each; ids are (group, index)."""
 
-    groups: tuple[str, ...]
-    n: int
+    __slots__ = ()
 
     def ids(self) -> list[VarId]:
         return [(g, i) for g in self.groups for i in range(1, self.n + 1)]
@@ -50,24 +48,10 @@ def group_names(k: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, k + 1))
 
 
-@dataclass
-class Gate:
-    forms: list[dict[VarId, int]]  # linear forms: variable -> coefficient
-    repetition: int = 1
-
-
-@dataclass
-class SigmaPiSigmaCircuit:
-    mod: Modulus
-    vars: VariableSpace
-    gates: list[Gate]
-
-
-@dataclass(frozen=True)
-class CircuitSize:
-    gate_total: int
-    products: int
-    graph_model_count: int
+# forms: linear forms, each a dict variable -> coefficient
+Gate = namedtuple("Gate", "forms repetition", defaults=(1,))
+SigmaPiSigmaCircuit = namedtuple("SigmaPiSigmaCircuit", "mod vars gates")
+CircuitSize = namedtuple("CircuitSize", "gate_total products graph_model_count")
 
 
 def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:

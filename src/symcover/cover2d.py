@@ -19,7 +19,7 @@ only the digit construction and the s2 entry points into coverkd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .zmod import Modulus
 from .sympoly import SymmetricPolynomial, bbr_construct
@@ -34,16 +34,14 @@ from .coverkd import (
 )
 
 
-@dataclass(frozen=True)
-class DigitScheme:
+class DigitScheme(namedtuple("DigitScheme", "base digits")):
     """Base-N positional encoding of the index values 1..n.
 
     Digit position 1 is the least significant.  base**digits >= n + 1,
     so every index fits in `digits` digits.
     """
 
-    base: int
-    digits: int
+    __slots__ = ()
 
     def digits_of(self, i: int) -> tuple[int, ...]:
         out = []
@@ -60,7 +58,7 @@ def WeightedRectCover(
     n: int, mod: Modulus | None, items: list[tuple[Box, int]], meta: dict | None = None
 ) -> WeightedBoxCover:
     """A weighted rectangle cover over indices 1..n: a k = 2 box cover."""
-    return WeightedBoxCover(n, 2, mod, items, {} if meta is None else meta)
+    return WeightedBoxCover(n, 2, mod, items, meta)
 
 
 def digit_scheme(n: int) -> DigitScheme:

@@ -25,11 +25,9 @@ import array
 import functools
 import itertools
 import operator
-import random
 import sys
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
 
 from .zmod import Modulus, astrong_coeff_status
 from .sympoly import SymmetricPolynomial, bbr_construct
@@ -40,14 +38,11 @@ class ConstructionError(RuntimeError):
     construction fails its closing exhaustive check."""
 
 
-@dataclass(frozen=True)
-class HashMatrix:
-    """u x n matrix over {0..b-1} separating every k-subset of columns."""
+class HashMatrix(namedtuple("HashMatrix", "n k b rows")):
+    """u x n matrix over {0..b-1} separating every k-subset of columns:
+    rows holds its u rows, each a tuple of n entries."""
 
-    n: int
-    k: int
-    b: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def u(self) -> int:
@@ -84,11 +79,10 @@ def mask_of(indices: Collection[int], top: int | None = None) -> int:
     return int(digits[::-1], 2)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "parts")):
     """A product of k index sets: bit j of part l is set when index j is in it."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, *parts: Collection[int]) -> "Box":
@@ -110,27 +104,24 @@ class Box:
         return not all(self.parts)
 
 
-@dataclass
-class WeightedBoxCover:
-    """Multiset of weighted k-dimensional boxes over indices 1..n.
+class WeightedBoxCover(namedtuple("WeightedBoxCover", "n k mod items meta")):
+    """Multiset of weighted k-dimensional boxes over indices 1..n: items
+    is a list of (Box, weight) pairs, meta a dict (a fresh {} if omitted).
 
     mod is None for covers that exist before a modulus is chosen (the
     initial covers); such covers report raw counts.  Weighted covers
     keep weights canonical in 1..m-1.
     """
 
-    n: int
-    k: int
-    mod: Modulus | None
-    items: list[tuple[Box, int]]
-    meta: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, mod: Modulus | None, items: list[tuple[Box, int]],
+                meta: dict | None = None) -> WeightedBoxCover:
+        return super().__new__(cls, n, k, mod, items, {} if meta is None else meta)
 
 
-@dataclass
-class CellViolation:
-    cell: tuple[int, ...]
-    count: int
-    target: int
+class CellViolation(namedtuple("CellViolation", "cell count target")):
+    __slots__ = ()
 
     def line(self, mod: Modulus) -> str:
         """The cell, its count mod m and the count's residues per factor."""
@@ -138,25 +129,19 @@ class CellViolation:
                 f"{mod.residues(self.count)} per {mod}, target {self.target}")
 
 
-@dataclass
-class PropertyReport:
-    """Outcome of a cover property check; ok iff no violations."""
+class PropertyReport(namedtuple("PropertyReport", "ok violations checked sampled",
+                                 defaults=(False,))):
+    """Outcome of a cover property check; ok iff no violations.  sampled
+    defaults to False: every check is exhaustive."""
 
-    ok: bool
-    violations: list[CellViolation]
-    checked: int
-    sampled: bool = False  # every check is exhaustive
+    __slots__ = ()
 
     def summary(self) -> str:
         head = "pass" if self.ok else f"fail ({len(self.violations)} violations)"
         return f"{head}: {self.checked} cells checked"
 
 
-@dataclass
-class HashReport:
-    ok: bool
-    failing_subsets: list[tuple[int, ...]]
-    checked: int
+HashReport = namedtuple("HashReport", "ok failing_subsets checked")
 
 
 def verify_hash_family(h: HashMatrix) -> HashReport:
@@ -187,6 +172,8 @@ def build_hash_family(n: int, k: int, b: int, seed: int = 0) -> HashMatrix:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     if b < k:
         raise ValueError(f"alphabet size {b} cannot separate {k} columns")
+
+    import random  # only this search draws, so only `build --poly sk` loads it
 
     rng = random.Random(seed)
     uncovered = set(itertools.combinations(range(1, n + 1), k))

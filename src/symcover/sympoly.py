@@ -16,24 +16,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .zmod import Modulus, crt_combine
 
 
-@dataclass(frozen=True)
-class SymmetricPolynomial:
+class SymmetricPolynomial(namedtuple("SymmetricPolynomial", "ell coeffs mod")):
     """f(z) = sum_t coeffs[t] * e_t(z) over Z_m, trailing zeros trimmed."""
 
-    ell: int
-    coeffs: tuple[int, ...]
-    mod: Modulus
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.degree > self.ell:
-            raise ValueError(
-                f"degree {self.degree} exceeds variable count {self.ell}"
-            )
+    def __new__(cls, ell: int, coeffs: tuple[int, ...], mod: Modulus) -> SymmetricPolynomial:
+        if len(coeffs) - 1 > ell:
+            raise ValueError(f"degree {len(coeffs) - 1} exceeds variable count {ell}")
+        return super().__new__(cls, ell, coeffs, mod)
 
     @property
     def degree(self) -> int:
@@ -45,16 +41,14 @@ class SymmetricPolynomial:
         return [weight_value(self, w) for w in range(hi + 1)]
 
 
-@dataclass(frozen=True)
-class ExponentChoice:
+class ExponentChoice(namedtuple("ExponentChoice", "exponents degree_bound")):
     """Per-factor threshold exponents a_i with prod p_i^a_i >= d+1.
 
     degree_bound is max_i (2*e_i - 1) * (p_i^a_i - 1), the degree the
     indicator construction will not exceed.
     """
 
-    exponents: tuple[int, ...]
-    degree_bound: int
+    __slots__ = ()
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:

@@ -9,9 +9,8 @@ form is the primary object, not the bare integer.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 class NotInvertibleError(ValueError):
     """Raised when an element has no multiplicative inverse mod m."""
@@ -22,24 +21,24 @@ class UnsupportedModulusError(ValueError):
     or when m has no factorization by trial division up to 2**20."""
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(namedtuple("Modulus", "m factors prime_powers")):
     """A modulus m >= 2 with its prime-power factorization.
 
-    factors is sorted by prime and satisfies prod(p**e) == m.
+    factors is sorted by prime and satisfies prod(p**e) == m;
+    prime_powers holds each p**e, computed once from factors.
     """
 
-    m: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    def __new__(cls, m: int, factors: tuple[tuple[int, int], ...]) -> Modulus:
+        return super().__new__(cls, m, factors, tuple(p**e for p, e in factors))
+
+    def __getnewargs__(self) -> tuple:
+        return self.m, self.factors  # copy and pickle rebuild through __new__
 
     @property
     def r(self) -> int:
         return len(self.factors)
-
-    @functools.cached_property
-    def prime_powers(self) -> tuple[int, ...]:
-        # kept in the instance __dict__, outside the fields that eq and hash read
-        return tuple(p**e for p, e in self.factors)
 
     def residues(self, x: int) -> list[int]:
         """Decompose x into its residue vector (one entry per factor)."""

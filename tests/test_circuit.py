@@ -61,6 +61,7 @@ def test_from_cover2d_gates():
 def test_evaluate_examples():
     space = VariableSpace(("x", "y"), 4)
     gate = Gate([{("x", 1): 1, ("x", 2): 1}, {("y", 3): 1}])
+    assert gate.repetition == 1
     c = SigmaPiSigmaCircuit(M6, space, [gate])
     point = _assignment(space, {("x", 1): 1, ("x", 2): 1, ("y", 3): 1})
     assert evaluate(c, point) == 2

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -759,3 +760,16 @@ def test_runtime_loads_only_the_standard_library():
     loaded = set(run.stdout.split())
     assert "symcover" in loaded
     assert loaded - {"__main__", "symcover"} <= sys.stdlib_module_names
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # records are namedtuples, so no command pays for dataclasses (and the
+    # inspect, ast, dis and tokenize it loads), typing, or random, which only
+    # the sk hash-family search imports
+    code = "import sys, symcover.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(symcover.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "symcover.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "random"}

@@ -14,6 +14,7 @@ from symcover.coverkd import (
     Box,
     ConstructionError,
     HashMatrix,
+    PropertyReport,
     WeightedBoxCover,
     box_multiplicity_table,
     build_hash_family,
@@ -105,6 +106,19 @@ def test_initial_box_cover_properties():
             assert raw == 0
         else:
             assert 1 <= raw <= h.u
+
+
+def test_records_are_values():
+    mod = factorize(6)
+    a, b = WeightedBoxCover(3, 2, mod, []), WeightedBoxCover(3, 2, mod, [])
+    a.meta["h"] = 1
+    assert b.meta == {} and a.meta is not b.meta  # each cover its own fresh meta
+    box, h = Box.of({1}, {2}), HashMatrix(2, 2, 2, ((0, 1),))
+    for record, name in [(box, "parts"), (h, "rows"), (a, "meta")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(box) == "Box(parts=(2, 4))" and box == Box((2, 4)) and h.u == 1
+    assert PropertyReport(True, [], 0).sampled is False
 
 
 def test_box_multiplicity_basic():

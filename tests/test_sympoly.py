@@ -57,6 +57,15 @@ def test_from_weight_values_needs_enough_variables():
         from_weight_values([0, 1, 2], 1, M6)
 
 
+def test_symmetric_polynomial_is_a_checked_value():
+    f = SymmetricPolynomial(2, (0, 1, 2), M6)
+    assert f == SymmetricPolynomial(2, (0, 1, 2), factorize(6)) and f.degree == 2
+    with pytest.raises(AttributeError):
+        f.coeffs = (1,)
+    with pytest.raises(ValueError, match="degree 2 exceeds variable count 1"):
+        SymmetricPolynomial(1, (0, 1, 2), M6)
+
+
 def test_choose_exponents_examples():
     assert choose_exponents(M6, 5).exponents == (1, 1)
     assert choose_exponents(M6, 3).exponents == (1, 1)

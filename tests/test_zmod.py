@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,8 +123,8 @@ def test_modulus_str():
 def test_cached_prime_powers_keep_value_semantics():
     a, b = factorize(360), factorize(360)
     assert a.prime_powers == (8, 9, 5)
-    assert a.prime_powers is a.prime_powers  # computed once per instance
-    # a now holds the cached tuple and b does not: still equal, same hash
+    assert a.prime_powers is a.prime_powers  # computed once, when a is made
+    # prime_powers is a third field, derived from factors: still equal, same hash
     assert a == b == Modulus(360, ((2, 3), (3, 2), (5, 1)))
     assert hash(a) == hash(b) == hash(Modulus(360, ((2, 3), (3, 2), (5, 1))))
     assert {a: "m"}[b] == "m"
@@ -131,3 +133,5 @@ def test_cached_prime_powers_keep_value_semantics():
         assert a.residues(x) == b.residues(x) == [x % 8, x % 9, x % 5]
     with pytest.raises(AttributeError):
         a.m = 6
+    for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert c == a and c.prime_powers == (8, 9, 5)
