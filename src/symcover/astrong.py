@@ -7,16 +7,18 @@ disagree.  The relation constrains the written form, not the values,
 and it is not symmetric in f and g.
 
 The check iterates the union of both supports, so coefficients present
-on either side only are compared against 0.
+on either side only are compared against 0.  Two cell tables of one
+shape are judged cell by cell, and any other pair of maps by lookups.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, namedtuple
+from collections.abc import Mapping
 
 from .zmod import Modulus, astrong_coeff_status
-from .circuit import Monomial, cell_monomials
+from .circuit import CellTable, Monomial, cell_monomials
 from .coverkd import _repeated_cells
 
 
@@ -39,13 +41,13 @@ class AStrongReport(namedtuple("AStrongReport", "ok violations checked")):
         return f"fail ({len(self.violations)} of {self.checked} monomials)"
 
 
-def target_coefficients(n: int, k: int, ordered: bool = False) -> dict[Monomial, int]:
+def target_coefficients(n: int, k: int, ordered: bool = False) -> Mapping[Monomial, int]:
     """The coefficient map of the degree-k elementary symmetric target.
 
     unordered: coefficient 1 on each of the C(n, k) square-free
-    monomials in the single group, variables in index order; ordered:
-    coefficient 1 on each distinct-index cell across the k groups, one
-    monomial per ordering, keyed as cell_monomials lists it.
+    monomials in the single group, variables in index order, as a dict;
+    ordered: coefficient 1 on each distinct-index cell across the k
+    groups, one monomial per ordering, as a CellTable.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -54,11 +56,11 @@ def target_coefficients(n: int, k: int, ordered: bool = False) -> dict[Monomial,
     distinct = bytearray(b"\1") * n**k
     for i in _repeated_cells(n, k):
         distinct[i] = 0
-    return dict.fromkeys(itertools.compress(cell_monomials(n, k), distinct), 1)
+    return CellTable(n, k, distinct)
 
 
 def check_astrong(
-    b: dict[Monomial, int], a: dict[Monomial, int], mod: Modulus
+    b: Mapping[Monomial, int], a: Mapping[Monomial, int], mod: Modulus
 ) -> AStrongReport:
     """Does b's written form stand in for a's modulo mod?
 
@@ -72,7 +74,11 @@ def check_astrong(
 
     Monomials are tallied per distinct (target, actual) pair and each
     pair is judged once; only monomials of a failing pair are sorted.
+    Two CellTables of one shape are tallied cell by cell, at C speed,
+    and the cells in neither support, (0, 0), are dropped.
     """
+    if isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k):
+        return _check_tables(b, a, mod)
     # (target, actual) over a's support; actual None where b stores nothing
     tally = Counter(zip(a.values(), map(b.get, a)))
     unstored = sum(count for (_, bv), count in tally.items() if bv is None)
@@ -90,3 +96,18 @@ def check_astrong(
         violations = [MonomialWitness(mono, a.get(mono, 0), b.get(mono, 0))
                       for mono in sorted(found)]
     return AStrongReport(not violations, violations, len(a) + len(stray))
+
+
+def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:
+    """check_astrong on two tables of one shape: every cell's pair is
+    tallied, and the failing cells are picked out of one enumeration."""
+    tally = Counter(zip(a.table, b.table))
+    tally.pop((0, 0), None)
+    failing = {pair for pair in tally if not astrong_coeff_status(*pair, mod)[0]}
+    violations: list[MonomialWitness] = []
+    if failing:
+        cells = zip(cell_monomials(a.n, a.k), a.table, b.table)
+        flags = map(failing.__contains__, zip(a.table, b.table))
+        found = sorted(itertools.compress(cells, flags))
+        violations = [*itertools.starmap(MonomialWitness, found)]
+    return AStrongReport(not violations, violations, sum(tally.values()))

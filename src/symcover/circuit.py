@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
 from .coverkd import WeightedBoxCover, _counts, members
@@ -174,11 +174,44 @@ def cell_monomials(n: int, k: int) -> Iterator[Monomial]:
     return map(operator.itemgetter(*order), cells)
 
 
-def cover_coefficients(cover: WeightedBoxCover) -> dict[Monomial, int]:
+class CellTable(Mapping):
+    """The read-only map of a coefficient table over the n**k cells: one
+    coefficient per cell in cell_monomials order, 0 where the map stores
+    nothing.  Lookups agree with dict(self): a cell monomial is found by
+    its variables, each at its place in group-name order, so ("x", True)
+    finds ("x", 1) as a dict would."""
+
+    __slots__ = ("n", "k", "table", "_place")
+
+    def __init__(self, n: int, k: int, table) -> None:
+        self.n, self.k, self.table = n, k, table
+        groups = group_names(k)
+        # per variable of a monomial, (group, j) -> the cell's flat offset
+        self._place = [{(g, j): (j - 1) * n ** (k - 1 - groups.index(g)) for j in range(1, n + 1)}
+                       for g in sorted(groups)]
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return itertools.compress(cell_monomials(self.n, self.k), self.table)
+
+    def __len__(self) -> int:
+        return len(self.table) - self.table.count(0)
+
+    def __getitem__(self, mono: Monomial) -> int:
+        hash(mono)  # an unhashable key raises TypeError, as in a dict
+        if isinstance(mono, tuple) and len(mono) == self.k:
+            try:
+                if value := self.table[sum(map(dict.__getitem__, self._place, mono))]:
+                    return value
+            except KeyError:
+                pass
+        raise KeyError(mono)
+
+
+def cover_coefficients(cover: WeightedBoxCover) -> CellTable:
     """The expansion of a cover's circuit, read off its count table: the
     coefficient of x^1_{j1}...x^k_{jk} is the count of cell (j1, ..., jk)
-    mod m, keyed as cell_monomials lists it.  A table of one byte per
-    cell is reduced by one bytes.translate through the 256 residues."""
+    mod m, as a CellTable.  A table of one byte per cell is reduced by
+    one bytes.translate through the 256 residues."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
     m = cover.mod.m
@@ -187,9 +220,7 @@ def cover_coefficients(cover: WeightedBoxCover) -> dict[Monomial, int]:
         residues = counts.tobytes().translate(bytes(c % m for c in range(256)))
     else:
         residues = array.array(counts.typecode, map(m.__rmod__, counts))
-    del counts  # freed before the map is built
-    monos = itertools.compress(cell_monomials(cover.n, cover.k), residues)
-    return dict(zip(monos, itertools.compress(residues, residues)))
+    return CellTable(cover.n, cover.k, residues)
 
 
 def evaluate_map(coeffs: dict[Monomial, int], assignment: dict[VarId, int], m: int) -> int:

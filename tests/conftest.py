@@ -5,7 +5,7 @@ from hypothesis import settings
 # pytest tests/test_serialize.py -k json_dumps --hypothesis-profile=long
 # the cover reader's round trip and fault messages,
 # pytest tests/test_serialize.py -k "reader_property or reader_rejects" --hypothesis-profile=long
-# and the count table and the property check against their reference
-# loops, on one-byte and wider tables,
-# pytest tests/test_reference_paths.py -k "counts or cover_coefficients" --hypothesis-profile=long
+# and the count table, the property check and the cell-table a-strong
+# judge against their reference loops, on one-byte and wider tables,
+# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table" --hypothesis-profile=long
 settings.register_profile("long", max_examples=1000, deadline=None)

@@ -7,12 +7,15 @@ table are checked against the expansion of the cover's circuit.  Count
 tables of one byte per cell are judged through byte tables and wider
 ones through a set of failing counts, so both kinds are checked, on
 passing and failing covers; the reference decodes flat indices with its
-own cell_at."""
+own cell_at.  A cover's coefficients and the ordered target are cell
+tables: judged cell by cell, they give the report the lookup judge
+gives on their dicts, and their lookups are those of their dicts."""
 
+import array
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcover.zmod import astrong_coeff_status, factorize
 from symcover.sympoly import ExponentChoice, choose_exponents
@@ -30,9 +33,11 @@ from symcover.coverkd import (
     field_width,
 )
 from symcover.circuit import (
+    CellTable,
     Gate,
     SigmaPiSigmaCircuit,
     VariableSpace,
+    cell_monomials,
     cover_coefficients,
     expand_coefficients,
     from_cover2d,
@@ -580,6 +585,100 @@ def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
         coefficients = cover_coefficients(case)
         assert coefficients == expand_coefficients(from_cover2d(case))
         assert check_astrong(coefficients, target, mod).ok is ok
+
+
+@st.composite
+def judged_covers(draw):
+    """A passing s2 or sk cover, k in {2, 3}, as built, with its first
+    item dropped, or with every weight shifted by one: m = 385 gives
+    wider residue tables, m = 6 and small m = 35 covers one-byte ones."""
+    k = draw(st.sampled_from([2, 3]))
+    mod = factorize(draw(st.sampled_from([6, 35, 385])))
+    n = draw(st.integers(k, 8))
+    if k == 2:
+        cover = build_s2_cover(n, mod)
+    else:
+        cover = build_sk_cover(n, k, mod, seed=draw(st.integers(0, 3)))
+    items = draw(st.sampled_from([
+        cover.items, cover.items[1:], [(box, w + 1) for box, w in cover.items],
+    ]))
+    return WeightedBoxCover(n, k, mod, items)
+
+
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
+@given(judged_covers())
+def test_cell_table_judge_matches_the_dict_judge(cover):
+    coefficients = cover_coefficients(cover)
+    target = target_coefficients(cover.n, cover.k, ordered=True)
+    assert isinstance(coefficients, CellTable) and isinstance(target, CellTable)
+    report = check_astrong(coefficients, target, cover.mod)
+    assert report == check_astrong(dict(coefficients), dict(target), cover.mod)
+
+
+# one-byte and wide tables over k = 10, n = 2, where group-name order
+# ("x10" < "x2") is not position order
+K10 = bytes(i * 37 % 11 for i in range(1024))
+
+
+@pytest.mark.parametrize("m", [6, 385])
+def test_cell_table_judge_matches_the_dict_judge_at_k_10(m):
+    # the failing monomials come sorted, which is not row-major order here
+    mod = factorize(m)
+    target = CellTable(2, 10, bytes(c % 2 for c in K10))
+    actual = CellTable(2, 10, array.array("H", (c * 301 % m for c in K10)))
+    report = check_astrong(actual, target, mod)
+    assert not report.ok
+    assert report == check_astrong(dict(actual), dict(target), mod)
+
+
+def probe_keys(n, k):
+    """Every cell monomial, and near misses: swapped group order, j = 0
+    and j = n + 1, the wrong arity, non-tuples, and ("x", True) and
+    ("x", 1.0), which a dict finds as ("x", 1)."""
+    for mono in cell_monomials(n, k):
+        (g, j), rest = mono[0], mono[1:]
+        yield mono
+        yield (*rest, mono[0])
+        yield ((g, 0), *rest)
+        yield ((g, n + 1), *rest)
+        yield rest
+        yield (*mono, mono[0])
+        yield ((g, j == 1), *rest)
+        yield ((g, float(j)), *rest)
+    yield from ("x", 1, None, frozenset(next(cell_monomials(n, k))), [("x", 1)])
+
+
+def probe(fn, key):
+    """The result, or the type of the error raised."""
+    try:
+        return fn(key)
+    except (KeyError, TypeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def cell_tables(draw):
+    """A cover's coefficients or an ordered target."""
+    if draw(st.booleans()):
+        return cover_coefficients(draw(judged_covers()))
+    n = draw(st.integers(1, 6))
+    return target_coefficients(n, draw(st.integers(1, min(n, 3))), ordered=True)
+
+
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
+@given(cell_tables())
+@example(CellTable(2, 10, K10))
+@example(CellTable(2, 10, array.array("H", (c * 300 for c in K10))))
+def test_cell_table_lookups_match_its_dict(table):
+    n, k = table.n, table.k
+    plain = dict(table)
+    expected = [mono for mono, c in zip(cell_monomials(n, k), table.table) if c]
+    assert list(table) == list(plain) == expected
+    assert len(table) == len(plain) == len(expected)
+    assert table == plain
+    for key in probe_keys(n, k):
+        assert probe(table.__contains__, key) == probe(plain.__contains__, key), key
+        assert probe(table.get, key) == probe(plain.get, key), key
 
 
 def reference_choose_exponents(mod, d):

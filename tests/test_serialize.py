@@ -3,7 +3,7 @@ import json
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcover.cli import main
 from symcover.zmod import factorize
@@ -367,6 +367,7 @@ _triple = st.tuples(st.text(), st.integers(), st.integers()).map(list)
 _triples = st.lists(_triple, min_size=1, max_size=4)
 
 
+@settings(deadline=None)
 @given(value=_values, shared=st.lists(st.integers(), min_size=1), form=_triples)
 @example(value={"\u00e9\n\"\\": [], "": {}, "k": [1, True, False, 2]}, shared=[3],
          form=[["x", 1, 2]])
