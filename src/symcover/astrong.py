@@ -8,7 +8,9 @@ and it is not symmetric in f and g.
 
 The check iterates the union of both supports, so coefficients present
 on either side only are compared against 0.  Two cell tables of one
-shape are judged cell by cell, and any other pair of maps by lookups.
+shape are judged cell by cell, through one packed byte code per cell
+when they hold 0/1 targets and actuals below 128 in bytes, and any
+other pair of maps by lookups.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ def check_astrong(
     Monomials are tallied per distinct (target, actual) pair and each
     pair is judged once; only monomials of a failing pair are sorted.
     Two CellTables of one shape are tallied cell by cell, at C speed,
-    and the cells in neither support, (0, 0), are dropped.
+    and the cells in neither support, (0, 0), are dropped: byte tables
+    of 0/1 targets and actuals below 128 through one byte code per cell,
+    any other pair through one (target, actual) tuple per cell.
     """
     if isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k):
         return _check_tables(b, a, mod)
@@ -100,14 +104,27 @@ def check_astrong(
 
 def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:
     """check_astrong on two tables of one shape: every cell's pair is
-    tallied, and the failing cells are picked out of one enumeration."""
-    tally = Counter(zip(a.table, b.table))
-    tally.pop((0, 0), None)
+    tallied, and the failing cells are picked out of one enumeration.
+    Byte tables of 0/1 targets and actuals below 128 pack each cell into
+    one byte, 2 * actual + target, by one big-int multiply-add, counted
+    and flagged through bytes methods; other tables tally tuples."""
+    packed = (isinstance(a.table, (bytes, bytearray)) and isinstance(b.table, (bytes, bytearray))
+              and not a.table.translate(None, b"\0\1") and b.table.isascii())
+    if packed:
+        codes = (int.from_bytes(b.table, "little") * 2
+                 + int.from_bytes(a.table, "little")).to_bytes(len(a.table), "little")
+        tally = {(c & 1, c >> 1): codes.count(c) for c in set(codes) - {0}}
+    else:
+        tally = Counter(zip(a.table, b.table))
+        tally.pop((0, 0), None)
     failing = {pair for pair in tally if not astrong_coeff_status(*pair, mod)[0]}
     violations: list[MonomialWitness] = []
     if failing:
         cells = zip(cell_monomials(a.n, a.k), a.table, b.table)
-        flags = map(failing.__contains__, zip(a.table, b.table))
+        if packed:
+            flags = codes.translate(bytes((c & 1, c >> 1) in failing for c in range(256)))
+        else:
+            flags = map(failing.__contains__, zip(a.table, b.table))
         found = sorted(itertools.compress(cells, flags))
         violations = [*itertools.starmap(MonomialWitness, found)]
     return AStrongReport(not violations, violations, sum(tally.values()))

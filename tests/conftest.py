@@ -6,6 +6,7 @@ from hypothesis import settings
 # the cover reader's round trip and fault messages,
 # pytest tests/test_serialize.py -k "reader_property or reader_rejects" --hypothesis-profile=long
 # and the count table, the property check and the cell-table a-strong
-# judge against their reference loops, on one-byte and wider tables,
-# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table" --hypothesis-profile=long
+# judge against their reference loops, on one-byte and wider tables and
+# on both sides of the packed byte-code tally's boundary,
+# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table or packed_tally" --hypothesis-profile=long
 settings.register_profile("long", max_examples=1000, deadline=None)

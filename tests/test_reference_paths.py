@@ -8,8 +8,9 @@ tables of one byte per cell are judged through byte tables and wider
 ones through a set of failing counts, so both kinds are checked, on
 passing and failing covers; the reference decodes flat indices with its
 own cell_at.  A cover's coefficients and the ordered target are cell
-tables: judged cell by cell, they give the report the lookup judge
-gives on their dicts, and their lookups are those of their dicts."""
+tables: judged cell by cell, through packed byte codes or through one
+tuple per cell, they give the report the lookup judge gives on their
+dicts, and their lookups are those of their dicts."""
 
 import array
 import itertools
@@ -45,6 +46,7 @@ from symcover.circuit import (
     group_names,
     identify_variables_and_scale,
 )
+from symcover import astrong
 from symcover.astrong import (
     AStrongReport,
     MonomialWitness,
@@ -584,14 +586,20 @@ def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
         assert _counts(case).itemsize == itemsize
         coefficients = cover_coefficients(case)
         assert coefficients == expand_coefficients(from_cover2d(case))
-        assert check_astrong(coefficients, target, mod).ok is ok
+        report = check_astrong(coefficients, target, mod)
+        assert report.ok is ok
+        assert report == check_astrong(dict(coefficients), dict(target), mod)
 
 
 @st.composite
 def judged_covers(draw):
     """A passing s2 or sk cover, k in {2, 3}, as built, with its first
-    item dropped, or with every weight shifted by one: m = 385 gives
-    wider residue tables, m = 6 and small m = 35 covers one-byte ones."""
+    item dropped, or with every weight shifted by one.  Counts of one
+    byte give a bytes residue table, wider ones an array; a bytes table
+    of residues below 128 is judged through packed byte codes, any other
+    table through one tuple per cell.  Here every m = 6 or m = 35 cover
+    takes the packed path, and every m = 385 cover, whose counts are
+    wider than a byte, the tuple tally."""
     k = draw(st.sampled_from([2, 3]))
     mod = factorize(draw(st.sampled_from([6, 35, 385])))
     n = draw(st.integers(k, 8))
@@ -629,6 +637,91 @@ def test_cell_table_judge_matches_the_dict_judge_at_k_10(m):
     report = check_astrong(actual, target, mod)
     assert not report.ok
     assert report == check_astrong(dict(actual), dict(target), mod)
+
+
+TABLE_TYPES = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "array B": lambda values: array.array("B", values),
+    "array H": lambda values: array.array("H", values),
+}
+
+
+@st.composite
+def table_pairs(draw):
+    """An actual and a target table over one shape, k <= 3 and small n,
+    each held in bytes, a bytearray, or an array of one or two bytes per
+    cell; targets of 0 and 1 only or holding a 2, and actuals below 128
+    or up to 255, on both sides of the packed path's boundary."""
+    mod = factorize(draw(st.sampled_from([6, 35, 385])))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    tables = []
+    for top in (st.sampled_from([1, 2]), st.sampled_from([127, 255])):
+        values = draw(st.lists(st.integers(0, draw(top)), min_size=n**k, max_size=n**k))
+        kind = draw(st.sampled_from(sorted(TABLE_TYPES)))
+        tables.append(CellTable(n, k, TABLE_TYPES[kind](values)))
+    target, actual = tables
+    return actual, target, mod
+
+
+def square(actual, target, m):
+    """An actual and a target table over the 3 x 3 cells, mod m."""
+    return CellTable(3, 2, actual), CellTable(3, 2, target), factorize(m)
+
+
+# pinned: every actual 127; one actual of 128; a target holding a 2;
+# all-zero tables; a failing table with several witnesses
+DISTINCT = bytes(target_coefficients(3, 2, ordered=True).table)
+PINNED = {
+    "actual 127": square(bytes([127] * 9), DISTINCT, 6),
+    "actual 128": square(bytes([1] * 8 + [128]), DISTINCT, 6),
+    "target 2": square(bytes(9), bytes([2] + [1] * 8), 35),
+    "all zero": square(bytes(9), bytearray(9), 35),
+    "failing": square(bytes([5, 1, 6, 1, 0, 7, 2, 1, 0]), DISTINCT, 35),
+}
+
+
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
+@given(table_pairs())
+@example(PINNED["actual 127"])
+@example(PINNED["actual 128"])
+@example(PINNED["target 2"])
+@example(PINNED["all zero"])
+@example(PINNED["failing"])
+def test_packed_tally_matches_the_dict_judge(case):
+    b, a, mod = case
+    assert check_astrong(b, a, mod) == check_astrong(dict(b), dict(a), mod)
+
+
+DIAGONAL = [(1, 1), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "name, takes_packed, checked, failing",
+    [
+        ("actual 127", True, 9, DIAGONAL),
+        ("actual 128", False, 9, DIAGONAL),
+        ("target 2", False, 9, [cell_at(i, 3, 2) for i in range(9)]),
+        ("all zero", True, 0, []),
+        ("failing", True, 7, [(1, 1), (1, 3), (2, 3), (3, 1)]),
+    ],
+)
+def test_packed_tally_is_taken_at_its_boundary_only(
+    name, takes_packed, checked, failing, monkeypatch
+):
+    # with the tuple tally shut off, a pair of tables that takes the
+    # packed path is judged as before and any other pair raises
+    b, a, mod = PINNED[name]
+    expected = check_astrong(dict(b), dict(a), mod)
+    assert (expected.ok, expected.checked) == (not failing, checked)
+    assert [tuple(j for _, j in v.monomial) for v in expected.violations] == failing
+    monkeypatch.setattr(astrong, "Counter", None)
+    if takes_packed:
+        assert check_astrong(b, a, mod) == expected
+    else:
+        with pytest.raises(TypeError):
+            check_astrong(b, a, mod)
 
 
 def probe_keys(n, k):
