@@ -23,6 +23,8 @@ from .zmod import Modulus, astrong_coeff_status
 from .circuit import CellTable, Monomial, cell_monomials
 from .coverkd import _repeated_cells
 
+ALL_CODES = bytes(range(256))
+
 
 class MonomialWitness(namedtuple("MonomialWitness", "monomial target actual")):
     __slots__ = ()
@@ -113,7 +115,10 @@ def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:
     if packed:
         codes = (int.from_bytes(b.table, "little") * 2
                  + int.from_bytes(a.table, "little")).to_bytes(len(a.table), "little")
-        tally = {(c & 1, c >> 1): codes.count(c) for c in set(codes) - {0}}
+        # the codes that occur, in increasing order: delete them from all 256
+        # codes, and then delete what is left
+        present = ALL_CODES.translate(None, ALL_CODES.translate(None, codes))
+        tally = {(c & 1, c >> 1): codes.count(c) for c in present if c}
     else:
         tally = Counter(zip(a.table, b.table))
         tally.pop((0, 0), None)

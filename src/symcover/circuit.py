@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, ItemsView, Iterator, Mapping, ValuesView
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
 from .coverkd import WeightedBoxCover, _counts, members
@@ -48,26 +48,76 @@ def group_names(k: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, k + 1))
 
 
-# forms: linear forms, each a dict variable -> coefficient
+# forms: linear forms, each a map variable -> coefficient: a dict, or a
+# cover's read-only PartForm over the bitmask of one of its parts
 Gate = namedtuple("Gate", "forms repetition", defaults=(1,))
 SigmaPiSigmaCircuit = namedtuple("SigmaPiSigmaCircuit", "mod vars gates")
 CircuitSize = namedtuple("CircuitSize", "gate_total products graph_model_count")
 
 
+class _FormItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[VarId, int]]:
+        form = self._mapping
+        return zip(form, itertools.repeat(form.coefficient))
+
+
+class _FormValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[int]:
+        form = self._mapping
+        return itertools.repeat(form.coefficient, len(form))
+
+
+class PartForm(Mapping):
+    """The read-only linear form c * (sum of the variables of one part):
+    one variable of a group per set bit j of the mask, in increasing j,
+    each with coefficient c.  ids lists a group's variables by index, and
+    place maps each of them back to its index.  Lookups agree with
+    dict(self): ("x", True) finds ("x", 1) as a dict would."""
+
+    __slots__ = ("mask", "coefficient", "_ids", "_place")
+
+    def __init__(self, mask: int, coefficient: int, ids: list[VarId], place: dict[VarId, int]) -> None:
+        self.mask, self.coefficient, self._ids, self._place = mask, coefficient, ids, place
+
+    def __iter__(self) -> Iterator[VarId]:
+        return iter(members(self.mask, self._ids))
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __getitem__(self, var: VarId) -> int:
+        j = self._place.get(var)  # an unhashable key raises TypeError, as in a dict
+        if j is not None and self.mask >> j & 1:
+            return self.coefficient
+        raise KeyError(var)
+
+    def items(self) -> _FormItems:
+        return _FormItems(self)
+
+    def values(self) -> _FormValues:
+        return _FormValues(self)
+
+
 def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
     """One k-linear gate per item, weight folded into the first form.
-    Every form names its variables through one shared id per (group, j),
-    and gates share one form per distinct (group, part, coefficient)."""
+    Gates share one PartForm per distinct (group, part, coefficient), and
+    the forms of a group share its list of ids, one per (group, j), and
+    its place dict."""
     if cover.mod is None:
         raise ValueError("cover has no modulus")
     space = VariableSpace(group_names(cover.k), cover.n)
     ids = [[(g, j) for j in range(cover.n + 1)] for g in space.groups]
-    shared: dict[tuple[int, int, int], dict[VarId, int]] = {}
+    places = [dict(zip(group, range(cover.n + 1))) for group in ids]
+    shared: dict[tuple[int, int, int], PartForm] = {}
 
-    def form(l: int, part: int, c: int) -> dict[VarId, int]:
+    def form(l: int, part: int, c: int) -> PartForm:
         key = (l, part, c)
         if key not in shared:
-            shared[key] = dict.fromkeys(members(part, ids[l]), c)
+            shared[key] = PartForm(part, c, ids[l], places[l])
         return shared[key]
 
     groups, ones = range(cover.k), [1] * (cover.k - 1)

@@ -7,6 +7,7 @@ from hypothesis import settings
 # pytest tests/test_serialize.py -k "reader_property or reader_rejects" --hypothesis-profile=long
 # and the count table, the property check and the cell-table a-strong
 # judge against their reference loops, on one-byte and wider tables and
-# on both sides of the packed byte-code tally's boundary,
-# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table or packed_tally" --hypothesis-profile=long
+# on both sides of the packed byte-code tally's boundary, and a cover
+# circuit's forms against their dicts,
+# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table or packed_tally or part_form" --hypothesis-profile=long
 settings.register_profile("long", max_examples=1000, deadline=None)

@@ -462,6 +462,27 @@ def test_verify_rejects_a_negative_expansion_budget(tmp_path, capsys):
     assert "--expansion-budget" in err and "a-strong" not in out
 
 
+@pytest.mark.parametrize(
+    "args, cover_sha, circuit_sha",
+    [
+        (["--poly", "s2", "--n", "64", "--m", "6"],
+         "ac45adc84898eb8a337992ad972103e5256c22e97cd9995268a77d466eeb86ba",
+         "ad06a869c1de36c7480702d62048a3659e7d12cdeb922bdc6bc3c01955b9c1b9"),
+        (["--poly", "sk", "--n", "8", "--k", "3", "--m", "35", "--seed", "1"],
+         "eab1613e5a4c588f81cd8d14cc8512f885f280edf066828ff0ded34e5f4d511b",
+         "377d5b9e90da7c2c03c035955446f512327dd3206bc63667f1f52ad6088d2f5a"),
+    ],
+    ids=["s2", "sk"],
+)
+def test_build_writes_pinned_cover_and_circuit_bytes(tmp_path, args, cover_sha, circuit_sha):
+    # a serializer round trip reads the file against the forms it came from,
+    # so only a pinned digest notices a changed [group, index, coefficient]
+    cover, circuit = tmp_path / "cover.json", tmp_path / "circuit.json"
+    assert main(["build", *args, "--out", str(cover), "--circuit-out", str(circuit)]) == 0
+    assert hashlib.sha256(cover.read_bytes()).hexdigest() == cover_sha
+    assert hashlib.sha256(circuit.read_bytes()).hexdigest() == circuit_sha
+
+
 def test_verify_prints_artifact_sha256(tmp_path, capsys):
     cover = _build(tmp_path)
     capsys.readouterr()

@@ -10,7 +10,8 @@ passing and failing covers; the reference decodes flat indices with its
 own cell_at.  A cover's coefficients and the ordered target are cell
 tables: judged cell by cell, through packed byte codes or through one
 tuple per cell, they give the report the lookup judge gives on their
-dicts, and their lookups are those of their dicts."""
+dicts, and their lookups are those of their dicts.  So are those of a
+cover circuit's forms, read-only maps over a part's bitmask."""
 
 import array
 import itertools
@@ -36,6 +37,7 @@ from symcover.coverkd import (
 from symcover.circuit import (
     CellTable,
     Gate,
+    PartForm,
     SigmaPiSigmaCircuit,
     VariableSpace,
     cell_monomials,
@@ -772,6 +774,52 @@ def test_cell_table_lookups_match_its_dict(table):
     for key in probe_keys(n, k):
         assert probe(table.__contains__, key) == probe(plain.__contains__, key), key
         assert probe(table.get, key) == probe(plain.get, key), key
+
+
+def form_probe_keys(n, groups):
+    """Every variable of every group at j = 0..n + 1, another group's, and
+    near misses: ("x", True) and ("x", 1.0), which a dict finds as
+    ("x", 1), a bare index, a non-tuple and unhashable keys."""
+    for g in (*groups, "z"):
+        for j in range(n + 2):
+            yield (g, j)
+            yield (g, j == 1)
+            yield (g, float(j))
+            yield (j, g)
+            yield j
+    yield from ("x", None, (), ("x", 1, 1), [("x", 1)], ("x", [1]), {"x": 1})
+
+
+@st.composite
+def part_covers(draw):
+    """A cover of arbitrary parts over 1..n, empty ones included, and
+    weights, zero mod m included."""
+    n, k = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    mod = draw(st.sampled_from(MODULI))
+    part = st.integers(0, 2**n - 1).map(lambda bits: bits << 1)
+    item = st.tuples(st.tuples(*[part] * k).map(Box), st.integers(1, 2 * mod.m))
+    return WeightedBoxCover(n, k, mod, draw(st.lists(item, min_size=1, max_size=6)))
+
+
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
+@given(part_covers())
+def test_part_form_lookups_match_its_dict(cover):
+    c = from_coverkd(cover)
+    for (box, w), gate in zip(cover.items, c.gates):
+        coeffs = [w % cover.mod.m] + [1] * (cover.k - 1)
+        for g, part, coef, form in zip(c.vars.groups, box.parts, coeffs, gate.forms):
+            assert isinstance(form, PartForm)
+            plain = dict(form)
+            expected = {(g, j): coef for j in range(1, cover.n + 1) if part >> j & 1}
+            assert list(form) == list(plain) == list(expected)
+            assert len(form) == len(plain) == len(expected)
+            assert form == plain and plain == form and plain == expected
+            assert list(form.items()) == list(plain.items())
+            assert list(form.values()) == list(plain.values())
+            for key in form_probe_keys(cover.n, c.vars.groups):
+                assert probe(form.__contains__, key) == probe(plain.__contains__, key), key
+                assert probe(form.get, key) == probe(plain.get, key), key
+                assert probe(form.__getitem__, key) == probe(plain.__getitem__, key), key
 
 
 def reference_choose_exponents(mod, d):
