@@ -7,10 +7,10 @@ disagree.  The relation constrains the written form, not the values,
 and it is not symmetric in f and g.
 
 The check iterates the union of both supports, so coefficients present
-on either side only are compared against 0.  Two cell tables of one
-shape are judged cell by cell, through one packed byte code per cell
-when they hold 0/1 targets and actuals below 128 in bytes, and any
-other pair of maps by lookups.
+on either side only are compared against 0.  A cell table against a
+target table of 0s and 1s in bytes, of one shape, is judged cell by cell
+by the property check's judge (coverkd._judge), and any other pair of
+maps by lookups.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from collections.abc import Mapping
 
 from .zmod import Modulus, astrong_coeff_status
 from .circuit import CellTable, Monomial, cell_monomials
-from .coverkd import _repeated_cells
-
-ALL_CODES = bytes(range(256))
+from .coverkd import _judge, _repeated_cells
 
 
 class MonomialWitness(namedtuple("MonomialWitness", "monomial target actual")):
@@ -78,12 +76,13 @@ def check_astrong(
 
     Monomials are tallied per distinct (target, actual) pair and each
     pair is judged once; only monomials of a failing pair are sorted.
-    Two CellTables of one shape are tallied cell by cell, at C speed,
-    and the cells in neither support, (0, 0), are dropped: byte tables
-    of 0/1 targets and actuals below 128 through one byte code per cell,
-    any other pair through one (target, actual) tuple per cell.
+    A CellTable b against a CellTable a of one shape whose table is bytes
+    of 0s and 1s, such as the ordered target, is judged cell by cell at C
+    speed through the one verdict table of the property check, and the
+    cells in neither support are not counted.
     """
-    if isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k):
+    if (isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k)
+            and isinstance(a.table, (bytes, bytearray)) and not a.table.translate(None, b"\0\1")):
         return _check_tables(b, a, mod)
     # (target, actual) over a's support; actual None where b stores nothing
     tally = Counter(zip(a.values(), map(b.get, a)))
@@ -105,31 +104,19 @@ def check_astrong(
 
 
 def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:
-    """check_astrong on two tables of one shape: every cell's pair is
-    tallied, and the failing cells are picked out of one enumeration.
-    Byte tables of 0/1 targets and actuals below 128 pack each cell into
-    one byte, 2 * actual + target, by one big-int multiply-add, counted
-    and flagged through bytes methods; other tables tally tuples."""
-    packed = (isinstance(a.table, (bytes, bytearray)) and isinstance(b.table, (bytes, bytearray))
-              and not a.table.translate(None, b"\0\1") and b.table.isascii())
-    if packed:
-        codes = (int.from_bytes(b.table, "little") * 2
-                 + int.from_bytes(a.table, "little")).to_bytes(len(a.table), "little")
-        # the codes that occur, in increasing order: delete them from all 256
-        # codes, and then delete what is left
-        present = ALL_CODES.translate(None, ALL_CODES.translate(None, codes))
-        tally = {(c & 1, c >> 1): codes.count(c) for c in present if c}
-    else:
-        tally = Counter(zip(a.table, b.table))
-        tally.pop((0, 0), None)
-    failing = {pair for pair in tally if not astrong_coeff_status(*pair, mod)[0]}
+    """check_astrong on a table of 0/1 targets in bytes: its 0 cells are
+    found by bytes.find, _judge flags the cells whose actual fails, and
+    the failing cells' monomials are picked out of one enumeration.  The
+    target's 1 cells and the 0 cells with a nonzero actual are checked."""
+    zeros = []
+    i = a.table.find(0)
+    while i >= 0:
+        zeros.append(i)
+        i = a.table.find(0, i + 1)
+    flags = _judge(b.table, zeros, mod)
     violations: list[MonomialWitness] = []
-    if failing:
-        cells = zip(cell_monomials(a.n, a.k), a.table, b.table)
-        if packed:
-            flags = codes.translate(bytes((c & 1, c >> 1) in failing for c in range(256)))
-        else:
-            flags = map(failing.__contains__, zip(a.table, b.table))
-        found = sorted(itertools.compress(cells, flags))
+    if flags:
+        found = sorted(itertools.compress(zip(cell_monomials(a.n, a.k), a.table, b.table), flags))
         violations = [*itertools.starmap(MonomialWitness, found)]
-    return AStrongReport(not violations, violations, sum(tally.values()))
+    stray = sum(map(bool, map(b.table.__getitem__, zeros)))
+    return AStrongReport(not violations, violations, len(a.table) - len(zeros) + stray)

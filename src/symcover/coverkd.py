@@ -410,36 +410,44 @@ def _repeated_cells(n: int, k: int) -> set[int]:
     return cells
 
 
+def _judge(table, zeros: Collection[int], mod: Modulus) -> bytes:
+    """The 0/1 flags of the cells of a row-major table that fail a 0/1
+    target, or b"" when none fails: target 0 at the cells in zeros, 1 at
+    every other.  On a copy, a cell in zeros is first made 1 if it is 0 mod
+    m and 0 if not: 1 meets the unit pattern for every m, 0 for none, so
+    one verdict table judges every cell, computed once per value that
+    occurs.  A table of one byte per cell is judged by bytes.translate
+    through a 256-entry byte table, at C speed: once to delete every value
+    that meets the unit pattern, and, if any is left, once more to flag
+    the cells that hold one; a wider table through a set of failing values."""
+    wide = isinstance(table, array.array) and table.itemsize > 1
+    cells = table[:] if wide else bytearray(table)
+    for i in zeros:
+        cells[i] = cells[i] % mod.m == 0
+    if not wide:
+        fails = bytes(not astrong_coeff_status(1, c, mod)[0] for c in range(256))
+        passing = bytes(c for c in range(256) if not fails[c])
+        return cells.translate(fails) if cells.translate(None, passing) else b""
+    bad = {c for c in set(cells) if not astrong_coeff_status(1, c, mod)[0]}
+    return bytes(map(bad.__contains__, cells)) if bad else b""
+
+
 def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
-    """Exhaustive check of all n**k cells against one verdict table, the
-    unit-pattern property.  A repeated-index tuple must count 0 mod m, so
-    its count is first replaced by 1 if it does and by 0 if not: 1 meets
-    the unit pattern for every m, 0 for none.  Verdicts are computed once
-    per count that occurs.  A table of one byte per cell is judged by
-    bytes.translate through a 256-entry byte table, at C speed: once to
-    delete every count that meets the unit pattern, and, if any count is
-    left, once more to flag the cells that hold one.  The flags pick the
-    failing cells, in row-major order, out of one enumeration of all
-    cells; a repeated-index cell's witness keeps its own count, target 0."""
+    """Exhaustive check of all n**k cells against the unit-pattern
+    property: _judge wants 0 mod m at the repeated-index cells and the unit
+    pattern at the others.  The flags pick the failing cells, in row-major
+    order, out of one enumeration of all cells; a repeated-index cell's
+    witness keeps its own count, target 0."""
     if cover.mod is None:
         raise ValueError("cover has no modulus to verify against")
     mod, n, k = cover.mod, cover.n, cover.k
     counts = _counts(cover)
-    repeated = {i: counts[i] for i in _repeated_cells(n, k)}
-    for i, c in repeated.items():
-        counts[i] = c % mod.m == 0
-    if counts.itemsize == 1:
-        table = counts.tobytes()
-        fails = bytes(not astrong_coeff_status(1, c, mod)[0] for c in range(256))
-        passing = bytes(c for c in range(256) if not fails[c])
-        flags = table.translate(fails) if table.translate(None, passing) else b""
-    else:
-        bad = {c for c in set(counts) if not astrong_coeff_status(1, c, mod)[0]}
-        flags = bytes(map(bad.__contains__, counts)) if bad else b""
+    repeated = _repeated_cells(n, k)
+    flags = _judge(counts, repeated, mod)
     if not flags:
         return PropertyReport(True, [], len(counts))
     cells = itertools.compress(itertools.product(range(1, n + 1), repeat=k), flags)
-    violations = [CellViolation(cell, repeated.get(i, counts[i]) % mod.m, int(i not in repeated))
+    violations = [CellViolation(cell, counts[i] % mod.m, int(i not in repeated))
                   for i, cell in zip(itertools.compress(itertools.count(), flags), cells)]
     return PropertyReport(False, violations, len(counts))
 

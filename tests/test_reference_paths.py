@@ -3,15 +3,16 @@ cell counts, the value-count property check and the exponent choice
 against the plain loops they replaced, kept here as reference
 implementations: same coefficient maps, same counts, same reports, same
 choices, same errors.  The coefficients verify reads off a cover's count
-table are checked against the expansion of the cover's circuit.  Count
-tables of one byte per cell are judged through byte tables and wider
-ones through a set of failing counts, so both kinds are checked, on
-passing and failing covers; the reference decodes flat indices with its
-own cell_at.  A cover's coefficients and the ordered target are cell
-tables: judged cell by cell, through packed byte codes or through one
-tuple per cell, they give the report the lookup judge gives on their
-dicts, and their lookups are those of their dicts.  So are those of a
-cover circuit's forms, read-only maps over a part's bitmask."""
+table are checked against the expansion of the cover's circuit.  One
+judge (coverkd._judge) serves the property check and the a-strong check
+of two cell tables: tables of one byte per cell are judged through byte
+tables and wider ones through a set of failing values, so both kinds
+are checked, on passing and failing covers; the reference decodes flat
+indices with its own cell_at.  A cover's coefficients against the
+ordered target, both cell tables, give the report the lookup judge
+gives on their dicts, and flag the cells the property check flags; the
+tables' lookups are those of their dicts.  So are those of a cover
+circuit's forms, read-only maps over a part's bitmask."""
 
 import array
 import itertools
@@ -597,11 +598,10 @@ def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
 def judged_covers(draw):
     """A passing s2 or sk cover, k in {2, 3}, as built, with its first
     item dropped, or with every weight shifted by one.  Counts of one
-    byte give a bytes residue table, wider ones an array; a bytes table
-    of residues below 128 is judged through packed byte codes, any other
-    table through one tuple per cell.  Here every m = 6 or m = 35 cover
-    takes the packed path, and every m = 385 cover, whose counts are
-    wider than a byte, the tuple tally."""
+    byte give a bytes residue table, wider ones an array, and the one
+    judge takes both against the ordered target: here every m = 6 or
+    m = 35 cover gives a bytes table, and every m = 385 cover, whose
+    counts are wider than a byte, an array."""
     k = draw(st.sampled_from([2, 3]))
     mod = factorize(draw(st.sampled_from([6, 35, 385])))
     n = draw(st.integers(k, 8))
@@ -623,6 +623,24 @@ def test_cell_table_judge_matches_the_dict_judge(cover):
     assert isinstance(coefficients, CellTable) and isinstance(target, CellTable)
     report = check_astrong(coefficients, target, cover.mod)
     assert report == check_astrong(dict(coefficients), dict(target), cover.mod)
+
+
+def position_order(mono):
+    """A cell monomial's indices in position order, not group-name order."""
+    groups = group_names(len(mono))
+    return tuple(j for _, j in sorted(mono, key=lambda var: groups.index(var[0])))
+
+
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
+@given(judged_covers())
+def test_property_check_and_table_judge_flag_the_same_cells(cover):
+    properties = _check_properties(cover)
+    target = target_coefficients(cover.n, cover.k, ordered=True)
+    report = check_astrong(cover_coefficients(cover), target, cover.mod)
+    assert report.ok is properties.ok
+    assert sorted(position_order(v.monomial) for v in report.violations) == sorted(
+        v.cell for v in properties.violations
+    )
 
 
 # one-byte and wide tables over k = 10, n = 2, where group-name order
@@ -653,8 +671,9 @@ TABLE_TYPES = {
 def table_pairs(draw):
     """An actual and a target table over one shape, k <= 3 and small n,
     each held in bytes, a bytearray, or an array of one or two bytes per
-    cell; targets of 0 and 1 only or holding a 2, and actuals below 128
-    or up to 255, on both sides of the packed path's boundary."""
+    cell; targets of 0 and 1 only or holding a 2, and actuals up to 127
+    or up to 255, so that the one judge takes some pairs and the lookup
+    judge the others."""
     mod = factorize(draw(st.sampled_from([6, 35, 385])))
     k = draw(st.integers(1, 3))
     n = draw(st.integers(1, 4))
@@ -672,13 +691,18 @@ def square(actual, target, m):
     return CellTable(3, 2, actual), CellTable(3, 2, target), factorize(m)
 
 
-# pinned: every actual 127; one actual of 128; a target holding a 2;
-# all-zero tables; a failing table with several witnesses
+# pinned: every actual 127; actuals of 128, of 255 and 231 at m = 385, and
+# in an array of two bytes per cell; a target holding a 2 or held in an
+# array; all-zero tables; a failing table with several witnesses
 DISTINCT = bytes(target_coefficients(3, 2, ordered=True).table)
 PINNED = {
     "actual 127": square(bytes([127] * 9), DISTINCT, 6),
     "actual 128": square(bytes([1] * 8 + [128]), DISTINCT, 6),
+    "actual 128 off the diagonal": square(bytes([0, 128, 3, 4, 0, 1, 1, 1, 0]), DISTINCT, 6),
+    "actual 255": square(bytes([0, 255, 231, 1, 0, 1, 1, 1, 255]), DISTINCT, 385),
+    "array H actual": square(array.array("H", [0, 1, 1, 300, 0, 1, 1, 1, 385]), DISTINCT, 385),
     "target 2": square(bytes(9), bytes([2] + [1] * 8), 35),
+    "array target": square(DISTINCT, array.array("B", DISTINCT), 35),
     "all zero": square(bytes(9), bytearray(9), 35),
     "failing": square(bytes([5, 1, 6, 1, 0, 7, 2, 1, 0]), DISTINCT, 35),
 }
@@ -688,10 +712,14 @@ PINNED = {
 @given(table_pairs())
 @example(PINNED["actual 127"])
 @example(PINNED["actual 128"])
+@example(PINNED["actual 128 off the diagonal"])
+@example(PINNED["actual 255"])
+@example(PINNED["array H actual"])
 @example(PINNED["target 2"])
+@example(PINNED["array target"])
 @example(PINNED["all zero"])
 @example(PINNED["failing"])
-def test_packed_tally_matches_the_dict_judge(case):
+def test_table_judge_matches_the_dict_judge(case):
     b, a, mod = case
     assert check_astrong(b, a, mod) == check_astrong(dict(b), dict(a), mod)
 
@@ -700,26 +728,30 @@ DIAGONAL = [(1, 1), (2, 2), (3, 3)]
 
 
 @pytest.mark.parametrize(
-    "name, takes_packed, checked, failing",
+    "name, judged, checked, failing",
     [
         ("actual 127", True, 9, DIAGONAL),
-        ("actual 128", False, 9, DIAGONAL),
+        ("actual 128", True, 9, DIAGONAL),
+        ("actual 128 off the diagonal", True, 6, [(1, 2)]),
+        ("actual 255", True, 7, [(1, 2), (3, 3)]),
+        ("array H actual", True, 7, [(2, 1)]),
         ("target 2", False, 9, [cell_at(i, 3, 2) for i in range(9)]),
+        ("array target", False, 6, []),
         ("all zero", True, 0, []),
         ("failing", True, 7, [(1, 1), (1, 3), (2, 3), (3, 1)]),
     ],
 )
-def test_packed_tally_is_taken_at_its_boundary_only(
-    name, takes_packed, checked, failing, monkeypatch
+def test_table_judge_takes_byte_targets_of_0_and_1_only(
+    name, judged, checked, failing, monkeypatch
 ):
-    # with the tuple tally shut off, a pair of tables that takes the
-    # packed path is judged as before and any other pair raises
+    # with the lookup judge's tally shut off, a pair whose target is a 0/1
+    # byte table is judged as before and any other pair raises
     b, a, mod = PINNED[name]
     expected = check_astrong(dict(b), dict(a), mod)
     assert (expected.ok, expected.checked) == (not failing, checked)
     assert [tuple(j for _, j in v.monomial) for v in expected.violations] == failing
     monkeypatch.setattr(astrong, "Counter", None)
-    if takes_packed:
+    if judged:
         assert check_astrong(b, a, mod) == expected
     else:
         with pytest.raises(TypeError):
