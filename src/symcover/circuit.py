@@ -21,7 +21,7 @@ from collections import namedtuple
 from collections.abc import Iterable, ItemsView, Iterator, Mapping, ValuesView
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
-from .coverkd import WeightedBoxCover, _counts, members
+from .coverkd import WeightedBoxCover, members
 
 VarId = tuple[str, int]
 Monomial = tuple[VarId, ...]
@@ -257,15 +257,13 @@ class CellTable(Mapping):
         raise KeyError(mono)
 
 
-def cover_coefficients(cover: WeightedBoxCover) -> CellTable:
-    """The expansion of a cover's circuit, read off its count table: the
-    coefficient of x^1_{j1}...x^k_{jk} is the count of cell (j1, ..., jk)
-    mod m, as a CellTable.  A table of one byte per cell is reduced by
-    one bytes.translate through the 256 residues."""
-    if cover.mod is None:
-        raise ValueError("cover has no modulus")
-    m = cover.mod.m
-    counts = _counts(cover)
+def cover_coefficients(cover: WeightedBoxCover, counts: array.array) -> CellTable:
+    """The expansion of a cover's circuit, read off the raw count table its
+    property check judged (PropertyReport.counts), so both verdicts read one
+    table: the coefficient of x^1_{j1}...x^k_{jk} is the count of cell
+    (j1, ..., jk) mod m, as a CellTable.  A table of one byte per cell is
+    reduced by one bytes.translate through the 256 residues."""
+    m = cover.mod.m  # the check that built the table needs a modulus
     if counts.itemsize == 1:
         residues = counts.tobytes().translate(bytes(c % m for c in range(256)))
     else:

@@ -129,10 +129,11 @@ class CellViolation(namedtuple("CellViolation", "cell count target")):
                 f"{mod.residues(self.count)} per {mod}, target {self.target}")
 
 
-class PropertyReport(namedtuple("PropertyReport", "ok violations checked sampled",
-                                 defaults=(False,))):
+class PropertyReport(namedtuple("PropertyReport", "ok violations checked sampled counts",
+                                 defaults=(False, None))):
     """Outcome of a cover property check; ok iff no violations.  sampled
-    defaults to False: every check is exhaustive."""
+    defaults to False: every check is exhaustive.  counts is the raw count
+    table it judged, which the a-strong step reads: one table, two verdicts."""
 
     __slots__ = ()
 
@@ -445,11 +446,11 @@ def _check_properties(cover: WeightedBoxCover) -> PropertyReport:
     repeated = _repeated_cells(n, k)
     flags = _judge(counts, repeated, mod)
     if not flags:
-        return PropertyReport(True, [], len(counts))
+        return PropertyReport(True, [], len(counts), counts=counts)
     cells = itertools.compress(itertools.product(range(1, n + 1), repeat=k), flags)
     violations = [CellViolation(cell, counts[i] % mod.m, int(i not in repeated))
                   for i, cell in zip(itertools.compress(itertools.count(), flags), cells)]
-    return PropertyReport(False, violations, len(counts))
+    return PropertyReport(False, violations, len(counts), counts=counts)
 
 
 def verify_sk_properties(cover: WeightedBoxCover) -> PropertyReport:

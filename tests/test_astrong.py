@@ -57,8 +57,10 @@ def test_maps_for_a_smaller_n_fail_a_larger_target():
 
     from symcover.circuit import cover_coefficients
     from symcover.cover2d import build_s2_cover
+    from symcover.coverkd import _counts
 
-    expansion = cover_coefficients(build_s2_cover(4, M6))
+    cover = build_s2_cover(4, M6)
+    expansion = cover_coefficients(cover, _counts(cover))
     assert check_astrong(expansion, target_coefficients(4, 2, ordered=True), M6).ok
     report = check_astrong(expansion, target_coefficients(5, 2, ordered=True), M6)
     assert not report.ok and len(report.violations) == 8

@@ -8,6 +8,7 @@ from symcover.cover2d import WeightedRectCover, build_s2_cover
 from symcover.coverkd import (
     Box,
     WeightedBoxCover,
+    _counts,
     box_multiplicity_table,
     build_sk_cover,
 )
@@ -188,14 +189,14 @@ def test_expansion_is_the_cover_count_table(make):
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
     circuit = to_circuit(cover)
     assert expand_coefficients(circuit) == expected
-    assert cover_coefficients(cover) == expected
+    assert cover_coefficients(cover, _counts(cover)) == expected
     # with every form a separate object, shared by no two gates, it expands the same
     unshared = SigmaPiSigmaCircuit(circuit.mod, circuit.vars, [
         Gate([dict(f) for f in g.forms], repetition=g.repetition) for g in circuit.gates
     ])
     forms = [f for g in unshared.gates for f in g.forms]
     assert len({*map(id, forms)}) == len(forms)
-    assert expand_coefficients(unshared) == cover_coefficients(cover)
+    assert expand_coefficients(unshared) == cover_coefficients(cover, _counts(cover))
 
 
 def test_cell_monomials_are_row_major_in_group_name_order():

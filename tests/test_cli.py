@@ -426,7 +426,7 @@ def test_reader_reports_part_mask_out_of_memory(tmp_path, capsys, monkeypatch, c
 
 
 def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):
-    def out_of_memory(cover):
+    def out_of_memory(cover, counts):
         raise MemoryError
 
     monkeypatch.setattr("symcover.cli.cover_coefficients", out_of_memory)
@@ -435,7 +435,39 @@ def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--in", str(cover)]) == 2
     out, err = capsys.readouterr()
     assert "properties: pass" in out and "a-strong" not in out
-    assert "not enough memory" in err
+    assert err == "error: not enough memory for verify\n"
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["as-built", "shifted"])
+@pytest.mark.parametrize(
+    "poly", [["s2", "--n", "16"], ["sk", "--n", "6", "--k", "3", "--seed", "1"]],
+    ids=["s2", "sk"],
+)
+def test_verify_builds_one_count_table(tmp_path, capsys, monkeypatch, poly, shift):
+    # the property check and the a-strong step read one table: every binding
+    # of coverkd._counts across symcover counts its calls
+    calls = []
+
+    def counted(cover):
+        calls.append(cover)
+        return _counts(cover)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "symcover":
+            for attr, value in list(vars(module).items()):
+                if value is _counts:
+                    monkeypatch.setattr(module, attr, counted)
+    cover = tmp_path / "cover.json"
+    assert main(["build", "--poly", *poly, "--m", "35", "--out", str(cover)]) == 0
+    data = json.loads(cover.read_text())
+    for item in data["items"]:  # every weight shifted by one, within 1..34
+        item["weight"] = (item["weight"] + shift - 1) % 34 + 1
+    cover.write_text(json.dumps(data))
+    capsys.readouterr()
+    calls.clear()
+    assert main(["verify", "--in", str(cover)]) == shift
+    assert len(calls) == 1
+    assert any(line.startswith("a-strong: ") for line in capsys.readouterr().out.splitlines())
 
 
 def test_verify_skips_expansion_without_building_the_circuit(tmp_path, capsys, monkeypatch):
@@ -755,8 +787,15 @@ def test_export_rejects_deeply_nested_json(tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     assert main(["build", "--poly", "s2"]) == 2
+    # verify's help names what --in is and how --expansion-budget counts terms
+    assert main(["verify", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--in INPUT the cover artifact to check" in text
+    assert ("skip the a-strong step when the cover circuit's expansion would have more "
+            "terms than this, the sum over items of the product of their part sizes "
+            "(default 10,000,000)") in text
     assert main([]) == 2
     # the hash-family search has one strategy, and no flag to name it
     assert main(["build", "--poly", "sk", "--n", "6", "--k", "3", "--m", "15",

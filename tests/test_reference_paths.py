@@ -400,7 +400,8 @@ def reference_check_properties(cover):
         target = int(len(set(cell)) == k)
         if bad[target][counts[i]]:
             violations.append(CellViolation(cell, d, target))
-    return PropertyReport(not violations, violations, len(counts))
+    # an array compares equal to any array of the same values, whatever its width
+    return PropertyReport(not violations, violations, len(counts), counts=array.array("Q", counts))
 
 
 def assert_same_counts_and_report(cover):
@@ -445,8 +446,13 @@ def box_covers(draw):
 @given(box_covers())
 def test_counts_and_check_match_reference(cover):
     assert_same_counts_and_report(cover)
-    # judged again on a wide table: both verdict paths meet the reference
-    assert _check_properties(widened(cover)) == reference_check_properties(cover)
+    # judged again on a wide table: both verdict paths meet the reference,
+    # and the report carries the wide table it judged
+    padded = widened(cover)
+    wide, expected = _check_properties(padded), reference_check_properties(cover)
+    raised = sum(w for _, w in padded.items[len(cover.items):])
+    assert wide[:-1] == expected[:-1]
+    assert wide.counts.tolist() == [c + raised for c in expected.counts]
 
 
 @st.composite
@@ -470,8 +476,10 @@ def cancelling_box_covers(draw):
 @settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(cancelling_box_covers())
 def test_cover_coefficients_are_the_expansion_of_the_cover_circuit(cover):
+    # read off the table the property check judged and carries in its report
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
-    assert cover_coefficients(cover) == expand_coefficients(to_circuit(cover))
+    counts = _check_properties(cover).counts
+    assert cover_coefficients(cover, counts) == expand_coefficients(to_circuit(cover))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -570,10 +578,10 @@ def test_check_matches_reference_on_s2_covers(m):
             counts = reference_counts(case)
             wide = widened(case)
             raised = sum(w for _, w in wide.items[len(case.items):])
-            assert (_counts(case).itemsize, _counts(wide).itemsize) == (1, 2), n
-            assert _check_properties(case) == expected == _check_properties(wide), n
-            assert _counts(case).tolist() == counts, n
-            assert _counts(wide).tolist() == [c + raised for c in counts], n
+            report, wide_report = _check_properties(case), _check_properties(wide)
+            assert (report.counts.itemsize, wide_report.counts.itemsize) == (1, 2), n
+            assert report == expected and wide_report[:-1] == expected[:-1], n
+            assert wide_report.counts.tolist() == [c + raised for c in counts], n
         assert expected.ok is False and reference_check_properties(cover).ok, n
 
 
@@ -586,8 +594,9 @@ def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
     target = target_coefficients(16, 2, ordered=True)
     for case, ok in ((cover, True), (WeightedBoxCover(16, 2, mod, cover.items[1:]), False)):
         case = table(case)
-        assert _counts(case).itemsize == itemsize
-        coefficients = cover_coefficients(case)
+        counts = _counts(case)
+        assert counts.itemsize == itemsize
+        coefficients = cover_coefficients(case, counts)
         assert coefficients == expand_coefficients(from_cover2d(case))
         report = check_astrong(coefficients, target, mod)
         assert report.ok is ok
@@ -618,7 +627,7 @@ def judged_covers(draw):
 @settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(judged_covers())
 def test_cell_table_judge_matches_the_dict_judge(cover):
-    coefficients = cover_coefficients(cover)
+    coefficients = cover_coefficients(cover, _counts(cover))
     target = target_coefficients(cover.n, cover.k, ordered=True)
     assert isinstance(coefficients, CellTable) and isinstance(target, CellTable)
     report = check_astrong(coefficients, target, cover.mod)
@@ -636,7 +645,7 @@ def position_order(mono):
 def test_property_check_and_table_judge_flag_the_same_cells(cover):
     properties = _check_properties(cover)
     target = target_coefficients(cover.n, cover.k, ordered=True)
-    report = check_astrong(cover_coefficients(cover), target, cover.mod)
+    report = check_astrong(cover_coefficients(cover, properties.counts), target, cover.mod)
     assert report.ok is properties.ok
     assert sorted(position_order(v.monomial) for v in report.violations) == sorted(
         v.cell for v in properties.violations
@@ -787,7 +796,8 @@ def probe(fn, key):
 def cell_tables(draw):
     """A cover's coefficients or an ordered target."""
     if draw(st.booleans()):
-        return cover_coefficients(draw(judged_covers()))
+        cover = draw(judged_covers())
+        return cover_coefficients(cover, _counts(cover))
     n = draw(st.integers(1, 6))
     return target_coefficients(n, draw(st.integers(1, min(n, 3))), ordered=True)
 
