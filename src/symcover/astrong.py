@@ -10,13 +10,15 @@ The check iterates the union of both supports, so coefficients present
 on either side only are compared against 0.  A cell table against a
 target table of 0s and 1s in bytes, of one shape, is judged cell by cell
 by the property check's judge (coverkd._judge), and any other pair of
-maps by lookups.
+maps by lookups, one monomial of the union at a time, through a judge
+cached per (target, actual) pair.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Mapping
 
 from .zmod import Modulus, astrong_coeff_status
@@ -74,33 +76,25 @@ def check_astrong(
     spaces fail rather than raise: b's coefficient is 0 on each of a's
     monomials that b lacks.
 
-    Monomials are tallied per distinct (target, actual) pair and each
-    pair is judged once; only monomials of a failing pair are sorted.
-    A CellTable b against a CellTable a of one shape whose table is bytes
-    of 0s and 1s, such as the ordered target, is judged cell by cell at C
-    speed through the one verdict table of the property check, and the
-    cells in neither support are not counted.
+    Each monomial of the union is looked up in both maps, and the judge
+    is cached per (target, actual) pair, so each distinct pair is judged
+    once; the failing monomials are sorted.  A CellTable b against a
+    CellTable a of one shape whose table is bytes of 0s and 1s, such as
+    the ordered target, is judged cell by cell at C speed through the one
+    verdict table of the property check, and the cells in neither support
+    are not counted.
     """
     if (isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k)
             and isinstance(a.table, (bytes, bytearray)) and not a.table.translate(None, b"\0\1")):
         return _check_tables(b, a, mod)
-    # (target, actual) over a's support; actual None where b stores nothing
-    tally = Counter(zip(a.values(), map(b.get, a)))
-    unstored = sum(count for (_, bv), count in tally.items() if bv is None)
-    stray = []
-    if len(b) > len(a) - unstored:
-        stray = [*itertools.filterfalse(a.__contains__, b)]
-        tally.update(zip(itertools.repeat(0), map(b.__getitem__, stray)))
-    failing = {(t, v) for t, v in tally if not astrong_coeff_status(t, v or 0, mod)[0]}
-    violations: list[MonomialWitness] = []
-    if failing:
-        found = [
-            *itertools.compress(a, map(failing.__contains__, zip(a.values(), map(b.get, a)))),
-            *(mono for mono in stray if (0, b[mono]) in failing),
-        ]
-        violations = [MonomialWitness(mono, a.get(mono, 0), b.get(mono, 0))
-                      for mono in sorted(found)]
-    return AStrongReport(not violations, violations, len(a) + len(stray))
+    fails = functools.cache(lambda t, v: not astrong_coeff_status(t, v, mod)[0])
+    union = [*a, *itertools.filterfalse(a.__contains__, b)]
+    zeros = itertools.repeat(0)
+    targets, actuals = [*map(a.get, union, zeros)], [*map(b.get, union, zeros)]
+    # monomials are distinct, so the failing ones sort by monomial alone
+    found = sorted(itertools.compress(zip(union, targets, actuals), map(fails, targets, actuals)))
+    violations = [*itertools.starmap(MonomialWitness, found)]
+    return AStrongReport(not violations, violations, len(union))
 
 
 def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:

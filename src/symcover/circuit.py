@@ -14,6 +14,7 @@ per repetition of a unit gate), and that view needs the raw counts.
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import math
 import operator
@@ -112,14 +113,7 @@ def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:
     space = VariableSpace(group_names(cover.k), cover.n)
     ids = [[(g, j) for j in range(cover.n + 1)] for g in space.groups]
     places = [dict(zip(group, range(cover.n + 1))) for group in ids]
-    shared: dict[tuple[int, int, int], PartForm] = {}
-
-    def form(l: int, part: int, c: int) -> PartForm:
-        key = (l, part, c)
-        if key not in shared:
-            shared[key] = PartForm(part, c, ids[l], places[l])
-        return shared[key]
-
+    form = functools.cache(lambda l, part, c: PartForm(part, c, ids[l], places[l]))
     groups, ones = range(cover.k), [1] * (cover.k - 1)
     gates = [
         Gate([*map(form, groups, box.parts, [w % cover.mod.m, *ones])], repetition=w)

@@ -369,14 +369,11 @@ def _counts(cover: WeightedBoxCover) -> array.array:
     # machine, but only the largest is kept
     bounds = array.array(_typecode(width), spread.to_bytes(n * width, sys.byteorder))
     width = field_width(max(bounds))
-    packed: dict[tuple[int, int], int] = {}
+    packed = functools.cache(lambda part, w: _fields(part, n, width) * w)
     listed = functools.cache(members)  # the memo dies with this call
     by_heads: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for box, w in cover.items:
-        key = (box.parts[-1], w)
-        if key not in packed:
-            packed[key] = _fields(key[0], n, width) * w
-        by_heads[box.parts[:-1]] += packed[key]
+        by_heads[box.parts[:-1]] += packed(box.parts[-1], w)
     del packed  # freed before the rows are made, and by_heads before the array
     rows = [0] * n ** (k - 1)
     for heads, add in by_heads.items():

@@ -7,7 +7,8 @@ from hypothesis import settings
 # pytest tests/test_serialize.py -k "reader_property or reader_rejects" --hypothesis-profile=long
 # and the count table, and the one judge the property check and the
 # cell-table a-strong check share, against their reference loops, on
-# one-byte and wider tables, with 0/1 byte targets or any other, and a
-# cover circuit's forms against their dicts,
-# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table or table_judge or part_form" --hypothesis-profile=long
+# one-byte and wider tables, with 0/1 byte targets or any other, a
+# cover circuit's forms against their dicts, and the lookup judge
+# against the plain loop over the sorted union of supports,
+# pytest tests/test_reference_paths.py -k "counts or cover_coefficients or cell_table or table_judge or part_form or check_matches_reference" --hypothesis-profile=long
 settings.register_profile("long", max_examples=1000, deadline=None)

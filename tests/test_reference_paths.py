@@ -1,18 +1,20 @@
-"""The product-loop expansion, the tallying a-strong check, the packed-row
-cell counts, the value-count property check and the exponent choice
-against the plain loops they replaced, kept here as reference
-implementations: same coefficient maps, same counts, same reports, same
-choices, same errors.  The coefficients verify reads off a cover's count
-table are checked against the expansion of the cover's circuit.  One
-judge (coverkd._judge) serves the property check and the a-strong check
-of two cell tables: tables of one byte per cell are judged through byte
+"""The product-loop expansion, the a-strong lookup judge (cached per
+(target, actual) pair over the union of supports), the packed-row cell
+counts, the value-count property check and the exponent choice against
+the plain loops they replaced, kept here as reference implementations:
+same coefficient maps, same counts, same reports, same choices, same
+errors.  The coefficients verify reads off a cover's count table are
+checked against the expansion of the cover's circuit.  One judge
+(coverkd._judge) serves the property check and the a-strong check of
+two cell tables: tables of one byte per cell are judged through byte
 tables and wider ones through a set of failing values, so both kinds
 are checked, on passing and failing covers; the reference decodes flat
 indices with its own cell_at.  A cover's coefficients against the
 ordered target, both cell tables, give the report the lookup judge
-gives on their dicts, and flag the cells the property check flags; the
-tables' lookups are those of their dicts.  So are those of a cover
-circuit's forms, read-only maps over a part's bitmask."""
+gives on their dicts, and flag the cells the property check flags;
+only a 0/1 byte target sends a pair to the table judge.  The tables'
+lookups are those of their dicts.  So are those of a cover circuit's
+forms, read-only maps over a part's bitmask."""
 
 import array
 import itertools
@@ -225,17 +227,26 @@ def test_expand_matches_reference_beyond_8_byte_fields():
     assert (x(1), y(3)) in expected and (x(2), y(2)) in expected
 
 
-def test_cover_circuits_share_one_form_per_group_part_and_coefficient():
-    cover = build_sk_cover(8, 3, factorize(35), seed=4)
-    c = from_coverkd(cover)
+@pytest.mark.parametrize(
+    "cover, convert",
+    [
+        # s2: items that share a first part can carry different weights
+        (lambda: build_s2_cover(16, factorize(35)), from_cover2d),
+        (lambda: build_sk_cover(8, 3, factorize(35), seed=4), from_coverkd),
+    ],
+    ids=["s2", "sk"],
+)
+def test_cover_circuits_share_one_form_per_group_part_and_coefficient(cover, convert):
+    cover = cover()
+    c = convert(cover)
     by_key = {}
     for (box, w), gate in zip(cover.items, c.gates):
-        coeffs = [w % 35, 1, 1]
-        for key in zip(range(3), box.parts, coeffs):
+        coeffs = [w % 35] + [1] * (cover.k - 1)
+        for key in zip(range(cover.k), box.parts, coeffs):
             by_key.setdefault(key, set()).add(id(gate.forms[key[0]]))
     assert all(len(ids) == 1 for ids in by_key.values())
     distinct = {id(f) for g in c.gates for f in g.forms}
-    assert len(distinct) == len(by_key) < 3 * len(c.gates)
+    assert len(distinct) == len(by_key) < cover.k * len(c.gates)
 
 
 def test_identification_and_scaling_leave_shared_forms_untouched():
@@ -323,7 +334,7 @@ def map_pairs(draw):
     return b, a, mod
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(map_pairs())
 def test_check_matches_reference(case):
     assert check_astrong(*case) == reference_check(*case)
@@ -753,18 +764,22 @@ DIAGONAL = [(1, 1), (2, 2), (3, 3)]
 def test_table_judge_takes_byte_targets_of_0_and_1_only(
     name, judged, checked, failing, monkeypatch
 ):
-    # with the lookup judge's tally shut off, a pair whose target is a 0/1
-    # byte table is judged as before and any other pair raises
+    # a pair whose target is a 0/1 byte table goes to the table judge once,
+    # any other pair to the lookup judge, and both give the dict judge's report
     b, a, mod = PINNED[name]
     expected = check_astrong(dict(b), dict(a), mod)
     assert (expected.ok, expected.checked) == (not failing, checked)
     assert [tuple(j for _, j in v.monomial) for v in expected.violations] == failing
-    monkeypatch.setattr(astrong, "Counter", None)
-    if judged:
-        assert check_astrong(b, a, mod) == expected
-    else:
-        with pytest.raises(TypeError):
-            check_astrong(b, a, mod)
+    calls = []
+    table_judge = astrong._check_tables
+
+    def recorded(*args):
+        calls.append(args)
+        return table_judge(*args)
+
+    monkeypatch.setattr(astrong, "_check_tables", recorded)
+    assert check_astrong(b, a, mod) == expected
+    assert len(calls) == judged
 
 
 def probe_keys(n, k):
