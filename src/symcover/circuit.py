@@ -19,7 +19,7 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterable, ItemsView, Iterator, Mapping
 
 from .zmod import Modulus, NotInvertibleError, mod_inverse
 from .coverkd import WeightedBoxCover, members
@@ -49,8 +49,8 @@ def group_names(k: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, k + 1))
 
 
-# forms: linear forms, each a map variable -> coefficient: a dict, or a
-# cover's read-only PartForm over the bitmask of one of its parts
+# forms: linear forms, each a map variable -> coefficient: a dict, or a cover's
+# PartForm over a part's bitmask, with a C-speed items() for circuit_to_dict
 Gate = namedtuple("Gate", "forms repetition", defaults=(1,))
 SigmaPiSigmaCircuit = namedtuple("SigmaPiSigmaCircuit", "mod vars gates")
 CircuitSize = namedtuple("CircuitSize", "gate_total products graph_model_count")
@@ -60,16 +60,7 @@ class _FormItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self) -> Iterator[tuple[VarId, int]]:
-        form = self._mapping
-        return zip(form, itertools.repeat(form.coefficient))
-
-
-class _FormValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[int]:
-        form = self._mapping
-        return itertools.repeat(form.coefficient, len(form))
+        return zip(self._mapping, itertools.repeat(self._mapping.coefficient))
 
 
 class PartForm(Mapping):
@@ -77,7 +68,8 @@ class PartForm(Mapping):
     one variable of a group per set bit j of the mask, in increasing j,
     each with coefficient c.  ids lists a group's variables by index, and
     place maps each of them back to its index.  Lookups agree with
-    dict(self): ("x", True) finds ("x", 1) as a dict would."""
+    dict(self): ("x", True) finds ("x", 1) as a dict would.  Only items(),
+    which serialize.circuit_to_dict reads, has a C-speed view of its own."""
 
     __slots__ = ("mask", "coefficient", "_ids", "_place")
 
@@ -98,9 +90,6 @@ class PartForm(Mapping):
 
     def items(self) -> _FormItems:
         return _FormItems(self)
-
-    def values(self) -> _FormValues:
-        return _FormValues(self)
 
 
 def _from_cover(cover: WeightedBoxCover) -> SigmaPiSigmaCircuit:

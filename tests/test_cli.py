@@ -653,6 +653,28 @@ def test_report_rejects_bad_range(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("ns, message", [
+    ("16,x", "argument --n: expects comma-separated integers"),
+    (",", "argument --n: expects at least one value"),
+])
+def test_report_rejects_an_unparsable_n_list(tmp_path, capsys, ns, message):
+    csv_path = tmp_path / "s.csv"
+    assert main(["report", "--poly", "s2", "--n", ns, "--m", "6", "--csv", str(csv_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not csv_path.exists()
+
+
+def test_a_failed_hash_family_search_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("symcover.coverkd._MAX_ROUNDS", 0)
+    path = tmp_path / "sk.json"
+    assert main(["build", "--poly", "sk", "--n", "6", "--m", "35", "--out", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("construction failed: no perfect hash family after 0 rounds")
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
 def test_export_dot_even_m_guard(tmp_path, capsys):
     cover = _build(tmp_path)
     code = main(["export-dot", "--in", str(cover), "--out-dir", str(tmp_path / "d")])

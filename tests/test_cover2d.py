@@ -4,7 +4,9 @@ import pytest
 
 from symcover.zmod import factorize
 from symcover.sympoly import SymmetricPolynomial, weight_value
-from symcover.coverkd import Box
+from symcover.astrong import target_coefficients
+from symcover.circuit import from_cover2d
+from symcover.coverkd import Box, WeightedBoxCover, rect_as_box_cover
 from symcover.cover2d import (
     WeightedRectCover,
     build_s2_cover,
@@ -249,3 +251,17 @@ def test_known_mutation_blind_spot():
     table = multiplicity_table(mutated)
     for j in sorted(blind.cols):
         assert table[15][j - 1] == 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: target_coefficients(3, 4), "need 1 <= k <= n, got k=4, n=3"),
+    (lambda: target_coefficients(3, 0), "need 1 <= k <= n, got k=0, n=3"),
+    (lambda: from_cover2d(initial_cover(8)), "cover has no modulus"),
+    (lambda: transformed_weights(initial_cover(8, M6)), "cover carries no transformation metadata"),
+    (lambda: verify_s2_properties(initial_cover(8)), "cover has no modulus to verify against"),
+    (lambda: rect_as_box_cover(WeightedBoxCover(4, 3, M6, [])), "not a rectangle cover: k = 3"),
+])
+def test_library_guards_refuse_what_they_cannot_take(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
