@@ -9,9 +9,9 @@ and it is not symmetric in f and g.
 The check iterates the union of both supports, so coefficients present
 on either side only are compared against 0.  A cell table against a
 target table of 0s and 1s in bytes, of one shape, is judged cell by cell
-by the property check's judge (coverkd._judge), and any other pair of
-maps by lookups, one monomial of the union at a time, through a judge
-cached per (target, actual) pair.
+by the property check's judge (coverkd._judge), and any other pair by
+lookups, one monomial of the union at a time, through a judge cached
+per (target, actual) pair, a cell table read as its nonzero cells' dict.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class AStrongReport(namedtuple("AStrongReport", "ok violations checked")):
         return f"fail ({len(self.violations)} of {self.checked} monomials)"
 
 
-def target_coefficients(n: int, k: int, ordered: bool = False) -> Mapping[Monomial, int]:
+def target_coefficients(n: int, k: int, ordered: bool = False) -> dict[Monomial, int] | CellTable:
     """The coefficient map of the degree-k elementary symmetric target.
 
     unordered: coefficient 1 on each of the C(n, k) square-free
@@ -64,7 +64,7 @@ def target_coefficients(n: int, k: int, ordered: bool = False) -> Mapping[Monomi
 
 
 def check_astrong(
-    b: Mapping[Monomial, int], a: Mapping[Monomial, int], mod: Modulus
+    b: Mapping[Monomial, int] | CellTable, a: Mapping[Monomial, int] | CellTable, mod: Modulus
 ) -> AStrongReport:
     """Does b's written form stand in for a's modulo mod?
 
@@ -76,17 +76,19 @@ def check_astrong(
     spaces fail rather than raise: b's coefficient is 0 on each of a's
     monomials that b lacks.
 
-    Each monomial of the union is looked up in both maps, and the judge
-    is cached per (target, actual) pair, so each distinct pair is judged
-    once; the failing monomials are sorted.  A CellTable b against a
-    CellTable a of one shape whose table is bytes of 0s and 1s, such as
-    the ordered target, is judged cell by cell at C speed through the one
-    verdict table of the property check, and the cells in neither support
-    are not counted.
+    A CellTable b against a CellTable a of one shape whose table is
+    bytes of 0s and 1s, such as the ordered target, is judged cell by
+    cell at C speed through the one verdict table of the property check,
+    and the cells in neither support are not counted.  Any other pair is
+    judged by lookups, a CellTable in it read as the dict of its nonzero
+    cells: each monomial of the union is looked up in both maps, and the
+    judge is cached per (target, actual) pair, so each distinct pair is
+    judged once; the failing monomials are sorted.
     """
     if (isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k)
             and isinstance(a.table, (bytes, bytearray)) and not a.table.translate(None, b"\0\1")):
         return _check_tables(b, a, mod)
+    b, a = _cell_dict(b), _cell_dict(a)
     fails = functools.cache(lambda t, v: not astrong_coeff_status(t, v, mod)[0])
     union = [*a, *itertools.filterfalse(a.__contains__, b)]
     zeros = itertools.repeat(0)
@@ -95,6 +97,14 @@ def check_astrong(
     found = sorted(itertools.compress(zip(union, targets, actuals), map(fails, targets, actuals)))
     violations = [*itertools.starmap(MonomialWitness, found)]
     return AStrongReport(not violations, violations, len(union))
+
+
+def _cell_dict(t: Mapping[Monomial, int] | CellTable) -> Mapping[Monomial, int]:
+    """A CellTable as the dict of its nonzero cells, in cell_monomials
+    order; any other map as it is."""
+    if not isinstance(t, CellTable):
+        return t
+    return dict(itertools.compress(zip(cell_monomials(t.n, t.k), t.table), t.table))
 
 
 def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:

@@ -207,37 +207,12 @@ def cell_monomials(n: int, k: int) -> Iterator[Monomial]:
     return map(operator.itemgetter(*order), cells)
 
 
-class CellTable(Mapping):
-    """The read-only map of a coefficient table over the n**k cells: one
-    coefficient per cell in cell_monomials order, 0 where the map stores
-    nothing.  Lookups agree with dict(self): a cell monomial is found by
-    its variables, each at its place in group-name order, so ("x", True)
-    finds ("x", 1) as a dict would."""
+class CellTable(namedtuple("CellTable", "n k table")):
+    """A coefficient table over the n**k cells: one coefficient per cell in
+    cell_monomials order, 0 where the polynomial has no term.  A record, not
+    a map: check_astrong reads it as its nonzero cells' dict for lookups."""
 
-    __slots__ = ("n", "k", "table", "_place")
-
-    def __init__(self, n: int, k: int, table) -> None:
-        self.n, self.k, self.table = n, k, table
-        groups = group_names(k)
-        # per variable of a monomial, (group, j) -> the cell's flat offset
-        self._place = [{(g, j): (j - 1) * n ** (k - 1 - groups.index(g)) for j in range(1, n + 1)}
-                       for g in sorted(groups)]
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return itertools.compress(cell_monomials(self.n, self.k), self.table)
-
-    def __len__(self) -> int:
-        return len(self.table) - self.table.count(0)
-
-    def __getitem__(self, mono: Monomial) -> int:
-        hash(mono)  # an unhashable key raises TypeError, as in a dict
-        if isinstance(mono, tuple) and len(mono) == self.k:
-            try:
-                if value := self.table[sum(map(dict.__getitem__, self._place, mono))]:
-                    return value
-            except KeyError:
-                pass
-        raise KeyError(mono)
+    __slots__ = ()
 
 
 def cover_coefficients(cover: WeightedBoxCover, counts: array.array) -> CellTable:

@@ -1,7 +1,11 @@
+from collections.abc import Mapping
+
 from hypothesis import given, strategies as st
 
 from symcover.zmod import factorize
 from symcover.astrong import check_astrong, target_coefficients
+
+from naive_circuits import table_dict
 
 M6 = factorize(6)
 
@@ -43,7 +47,7 @@ def test_one_group_expansion_fails_an_ordered_target():
     a = target_coefficients(3, 2, ordered=True)
     report = check_astrong(b, a, M6)
     assert not report.ok
-    assert report.checked == len(a) + len(b) == 9
+    assert report.checked == len(table_dict(a)) + len(b) == 9
     assert len(report.violations) == 9
     assert {v.monomial for v in report.violations if v.target == 0} == set(b)
 
@@ -96,7 +100,9 @@ def test_target_coefficients_shapes():
     }
 
     ordered = target_coefficients(2, 2, ordered=True)
-    assert ordered == {
+    # a record of its shape and cells, not a map
+    assert ordered == (2, 2, b"\0\1\1\0") and not isinstance(ordered, Mapping)
+    assert table_dict(ordered) == {
         (("x", 1), ("y", 2)): 1,
         (("x", 2), ("y", 1)): 1,
     }

@@ -16,7 +16,7 @@ from symcover.cli import _parse_args, main
 from symcover.zmod import factorize, mod_inverse
 from symcover.circuit import from_cover2d, size
 from symcover.cover2d import build_s2_cover
-from symcover.coverkd import _counts
+from symcover.coverkd import HashReport, _counts
 
 
 def _build(tmp_path, *extra):
@@ -671,6 +671,18 @@ def test_a_failed_hash_family_search_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["build", "--poly", "sk", "--n", "6", "--m", "35", "--out", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("construction failed: no perfect hash family after 0 rounds")
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
+def test_a_failed_hash_family_recheck_exits_3(tmp_path, capsys, monkeypatch):
+    # rows the incremental tracking accepts but the exhaustive check refuses
+    refused = HashReport(False, [(1, 2)], 1)
+    monkeypatch.setattr("symcover.coverkd.verify_hash_family", lambda h: refused)
+    path = tmp_path / "sk.json"
+    assert main(["build", "--poly", "sk", "--n", "6", "--m", "35", "--out", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("construction failed: incremental tracking disagrees")
     assert "Traceback" not in err
     assert not path.exists()
 

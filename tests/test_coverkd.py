@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,36 @@ def test_build_hash_family_errors(monkeypatch):
     monkeypatch.setattr(coverkd, "_MAX_ROUNDS", 0)
     with pytest.raises(ConstructionError, match="unseparated"):
         build_hash_family(8, 2, 2, seed=0)
+
+
+def test_a_round_that_separates_nothing_adds_no_row(monkeypatch):
+    # the first round draws 32 constant rows, which separate no subset: it
+    # is skipped, and the rounds after it keep the pinned rows of seed 7
+    n, draws = 8, random.Random
+
+    class ZerosFirst:
+        def __init__(self, seed):
+            self.zeros, self.rng = 32 * n, draws(seed)
+
+        def randrange(self, b):
+            if self.zeros:
+                self.zeros -= 1
+                return 0
+            return self.rng.randrange(b)
+
+    monkeypatch.setattr(random, "Random", ZerosFirst)
+    h = build_hash_family(n, 3, 6, seed=7)
+    assert hashlib.sha256(json.dumps(h.rows).encode()).hexdigest() == (
+        "533407205a582d4149dcbb13f7d1245ea19b661f5ef8ebf07605d5a7e9717fc8"
+    )
+
+
+def test_build_hash_family_rechecks_its_rows_exhaustively(monkeypatch):
+    # rows the incremental tracking accepts but the exhaustive check refuses
+    refused = coverkd.HashReport(False, [(1, 2)], 1)
+    monkeypatch.setattr(coverkd, "verify_hash_family", lambda h: refused)
+    with pytest.raises(ConstructionError, match="incremental tracking disagrees"):
+        build_hash_family(8, 3, 6, seed=7)
 
 
 def test_initial_box_cover_reads_off_rows():
