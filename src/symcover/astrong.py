@@ -7,11 +7,13 @@ disagree.  The relation constrains the written form, not the values,
 and it is not symmetric in f and g.
 
 The check iterates the union of both supports, so coefficients present
-on either side only are compared against 0.  A cell table against a
-target table of 0s and 1s in bytes, of one shape, is judged cell by cell
-by the property check's judge (coverkd._judge), and any other pair by
-lookups, one monomial of the union at a time, through a judge cached
-per (target, actual) pair, a cell table read as its nonzero cells' dict.
+on either side only are compared against 0.  A cell table's coefficients
+are its values mod m, so a cover's raw count table is judged as it is.
+A cell table against a target table of 0s and 1s in bytes, of one shape,
+is judged cell by cell by the property check's judge (coverkd._judge),
+and any other pair by lookups, one monomial of the union at a time,
+through a judge cached per (target, actual) pair, a cell table read as
+the dict of its cells that are nonzero mod m, with their residues.
 """
 
 from __future__ import annotations
@@ -76,19 +78,21 @@ def check_astrong(
     spaces fail rather than raise: b's coefficient is 0 on each of a's
     monomials that b lacks.
 
-    A CellTable b against a CellTable a of one shape whose table is
-    bytes of 0s and 1s, such as the ordered target, is judged cell by
-    cell at C speed through the one verdict table of the property check,
-    and the cells in neither support are not counted.  Any other pair is
-    judged by lookups, a CellTable in it read as the dict of its nonzero
-    cells: each monomial of the union is looked up in both maps, and the
-    judge is cached per (target, actual) pair, so each distinct pair is
-    judged once; the failing monomials are sorted.
+    A CellTable's coefficient for a cell is the cell's value mod m, and a
+    witness reports that residue.  A CellTable b against a CellTable a of
+    one shape whose table is bytes of 0s and 1s, such as the ordered
+    target, is judged cell by cell at C speed through the one verdict
+    table of the property check, and the cells in neither support are not
+    counted.  Any other pair is judged by lookups, a CellTable in it read
+    as the dict of its cells that are nonzero mod m: each monomial of the
+    union is looked up in both maps, and the judge is cached per (target,
+    actual) pair, so each distinct pair is judged once; the failing
+    monomials are sorted.
     """
     if (isinstance(a, CellTable) and isinstance(b, CellTable) and (a.n, a.k) == (b.n, b.k)
             and isinstance(a.table, (bytes, bytearray)) and not a.table.translate(None, b"\0\1")):
         return _check_tables(b, a, mod)
-    b, a = _cell_dict(b), _cell_dict(a)
+    b, a = _cell_dict(b, mod.m), _cell_dict(a, mod.m)
     fails = functools.cache(lambda t, v: not astrong_coeff_status(t, v, mod)[0])
     union = [*a, *itertools.filterfalse(a.__contains__, b)]
     zeros = itertools.repeat(0)
@@ -99,28 +103,28 @@ def check_astrong(
     return AStrongReport(not violations, violations, len(union))
 
 
-def _cell_dict(t: Mapping[Monomial, int] | CellTable) -> Mapping[Monomial, int]:
-    """A CellTable as the dict of its nonzero cells, in cell_monomials
-    order; any other map as it is."""
+def _cell_dict(t: Mapping[Monomial, int] | CellTable, m: int) -> Mapping[Monomial, int]:
+    """A CellTable as the dict of its cells that are nonzero mod m, with
+    their residues, in cell_monomials order; any other map as it is."""
     if not isinstance(t, CellTable):
         return t
-    return dict(itertools.compress(zip(cell_monomials(t.n, t.k), t.table), t.table))
+    residues = [*map(m.__rmod__, t.table)]
+    return dict(itertools.compress(zip(cell_monomials(t.n, t.k), residues), residues))
 
 
 def _check_tables(b: CellTable, a: CellTable, mod: Modulus) -> AStrongReport:
     """check_astrong on a table of 0/1 targets in bytes: its 0 cells are
-    found by bytes.find, _judge flags the cells whose actual fails, and
-    the failing cells' monomials are picked out of one enumeration.  The
-    target's 1 cells and the 0 cells with a nonzero actual are checked."""
+    found by bytes.find, _judge flags the cells whose raw value fails, and
+    the failing cells' monomials are picked out of one enumeration, each
+    with its value's residue.  The target's 1 cells and the 0 cells whose
+    value is nonzero mod m are checked."""
     zeros = []
     i = a.table.find(0)
     while i >= 0:
         zeros.append(i)
         i = a.table.find(0, i + 1)
     flags = _judge(b.table, zeros, mod)
-    violations: list[MonomialWitness] = []
-    if flags:
-        found = sorted(itertools.compress(zip(cell_monomials(a.n, a.k), a.table, b.table), flags))
-        violations = [*itertools.starmap(MonomialWitness, found)]
-    stray = sum(map(bool, map(b.table.__getitem__, zeros)))
+    found = sorted(itertools.compress(zip(cell_monomials(a.n, a.k), a.table, b.table), flags))
+    violations = [MonomialWitness(mono, t, v % mod.m) for mono, t, v in found]
+    stray = sum(b.table[i] % mod.m != 0 for i in zeros)
     return AStrongReport(not violations, violations, len(a.table) - len(zeros) + stray)

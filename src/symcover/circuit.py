@@ -13,7 +13,6 @@ per repetition of a unit gate), and that view needs the raw counts.
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 import math
@@ -208,25 +207,12 @@ def cell_monomials(n: int, k: int) -> Iterator[Monomial]:
 
 
 class CellTable(namedtuple("CellTable", "n k table")):
-    """A coefficient table over the n**k cells: one coefficient per cell in
-    cell_monomials order, 0 where the polynomial has no term.  A record, not
-    a map: check_astrong reads it as its nonzero cells' dict for lookups."""
+    """A coefficient table over the n**k cells: one value per cell in
+    cell_monomials order, whose coefficient is the value mod m, so a cover's
+    raw count table is its circuit's expansion.  A record, not a map: for
+    lookups, check_astrong reads it as the dict of its cells nonzero mod m."""
 
     __slots__ = ()
-
-
-def cover_coefficients(cover: WeightedBoxCover, counts: array.array) -> CellTable:
-    """The expansion of a cover's circuit, read off the raw count table its
-    property check judged (PropertyReport.counts), so both verdicts read one
-    table: the coefficient of x^1_{j1}...x^k_{jk} is the count of cell
-    (j1, ..., jk) mod m, as a CellTable.  A table of one byte per cell is
-    reduced by one bytes.translate through the 256 residues."""
-    m = cover.mod.m  # the check that built the table needs a modulus
-    if counts.itemsize == 1:
-        residues = counts.tobytes().translate(bytes(c % m for c in range(256)))
-    else:
-        residues = array.array(counts.typecode, map(m.__rmod__, counts))
-    return CellTable(cover.n, cover.k, residues)
 
 
 def evaluate_map(coeffs: dict[Monomial, int], assignment: dict[VarId, int], m: int) -> int:

@@ -17,14 +17,8 @@ from pathlib import Path
 from .zmod import Modulus, astrong_coeff_status, factorize, mod_inverse
 from .cover2d import WeightedRectCover, build_s2_cover, multiplicity_table, verify_s2_properties
 from .coverkd import ConstructionError, build_sk_cover, members, verify_sk_properties
-from .circuit import (
-    BudgetExceededError,
-    cover_coefficients,
-    from_cover2d,
-    from_coverkd,
-    require_budget,
-    size,
-)
+from .circuit import (BudgetExceededError, CellTable, from_cover2d, from_coverkd,
+                      require_budget, size)
 from .astrong import check_astrong, target_coefficients
 from . import serialize
 
@@ -151,12 +145,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     astrong_ok = True
     try:
-        # the budget bounds the circuit's terms; its expansion is the judged count table
+        # the budget bounds the circuit's terms; its expansion is the count
+        # table the property check judged, read mod m, as it is
         parts = (map(int.bit_count, box.parts) for box, _ in cover.items)
         require_budget(parts, len(cover.items), args.expansion_budget)
-        expansion = cover_coefficients(cover, report.counts)
         target = target_coefficients(cover.n, cover.k, ordered=True)
-        a_report = check_astrong(expansion, target, cover.mod)
+        a_report = check_astrong(CellTable(cover.n, cover.k, report.counts), target, cover.mod)
         astrong_ok = a_report.ok
         print(f"a-strong: {a_report.summary()}")
         _print_capped(a_report.violations, cover.mod)

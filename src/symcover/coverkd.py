@@ -133,7 +133,8 @@ class PropertyReport(namedtuple("PropertyReport", "ok violations checked sampled
                                  defaults=(False, None))):
     """Outcome of a cover property check; ok iff no violations.  sampled
     defaults to False: every check is exhaustive.  counts is the raw count
-    table it judged, which the a-strong step reads: one table, two verdicts."""
+    table it judged, which the a-strong step reads as it is, mod m, as the
+    cover circuit's coefficients: one table, two verdicts."""
 
     __slots__ = ()
 

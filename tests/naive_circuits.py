@@ -1,18 +1,18 @@
 """The naive circuits for the elementary symmetric polynomials: one
 product gate per k-subset, or per ordered tuple of distinct indices.
 They compute their polynomials exactly, so the tests use them as
-baselines and oracles.  table_dict reads a cell table as the dict of
-its nonzero cells, the tests' oracle for a table's coefficients."""
+baselines and oracles.  table_dict reads a cell table mod m as the dict
+of its nonzero residues, the tests' oracle for a table's coefficients."""
 
 import itertools
 
 from symcover.circuit import Gate, SigmaPiSigmaCircuit, VariableSpace, cell_monomials, group_names
 
 
-def table_dict(t):
-    """The cell table t as a map from cell monomial to coefficient: its
-    nonzero cells, in cell_monomials order."""
-    return {mono: c for mono, c in zip(cell_monomials(t.n, t.k), t.table) if c}
+def table_dict(t, m):
+    """The cell table t as a map from cell monomial to coefficient mod m:
+    the residues of its cells that are nonzero mod m, in cell_monomials order."""
+    return {mono: c % m for mono, c in zip(cell_monomials(t.n, t.k), t.table) if c % m}
 
 
 def naive_snk_circuit(n, k, mod):

@@ -47,7 +47,7 @@ def test_one_group_expansion_fails_an_ordered_target():
     a = target_coefficients(3, 2, ordered=True)
     report = check_astrong(b, a, M6)
     assert not report.ok
-    assert report.checked == len(table_dict(a)) + len(b) == 9
+    assert report.checked == len(table_dict(a, 6)) + len(b) == 9
     assert len(report.violations) == 9
     assert {v.monomial for v in report.violations if v.target == 0} == set(b)
 
@@ -59,12 +59,12 @@ def test_maps_for_a_smaller_n_fail_a_larger_target():
     assert [v.monomial for v in report.violations] == [_mono(i, 5) for i in range(1, 5)]
     assert all((v.target, v.actual) == (1, 0) for v in report.violations)
 
-    from symcover.circuit import cover_coefficients
+    from symcover.circuit import CellTable
     from symcover.cover2d import build_s2_cover
     from symcover.coverkd import _counts
 
     cover = build_s2_cover(4, M6)
-    expansion = cover_coefficients(cover, _counts(cover))
+    expansion = CellTable(4, 2, _counts(cover))
     assert check_astrong(expansion, target_coefficients(4, 2, ordered=True), M6).ok
     report = check_astrong(expansion, target_coefficients(5, 2, ordered=True), M6)
     assert not report.ok and len(report.violations) == 8
@@ -102,7 +102,7 @@ def test_target_coefficients_shapes():
     ordered = target_coefficients(2, 2, ordered=True)
     # a record of its shape and cells, not a map
     assert ordered == (2, 2, b"\0\1\1\0") and not isinstance(ordered, Mapping)
-    assert table_dict(ordered) == {
+    assert table_dict(ordered, 6) == {
         (("x", 1), ("y", 2)): 1,
         (("x", 2), ("y", 1)): 1,
     }

@@ -14,11 +14,11 @@ from symcover.coverkd import (
 )
 from symcover.circuit import (
     BudgetExceededError,
+    CellTable,
     Gate,
     SigmaPiSigmaCircuit,
     VariableSpace,
     cell_monomials,
-    cover_coefficients,
     evaluate,
     evaluate_map,
     expand_coefficients,
@@ -189,7 +189,7 @@ def test_expansion_is_the_cover_count_table(make):
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
     circuit = to_circuit(cover)
     assert expand_coefficients(circuit) == expected
-    assert table_dict(cover_coefficients(cover, _counts(cover))) == expected
+    assert table_dict(CellTable(cover.n, cover.k, _counts(cover)), cover.mod.m) == expected
     # with every form a separate object, shared by no two gates, it expands the same
     unshared = SigmaPiSigmaCircuit(circuit.mod, circuit.vars, [
         Gate([dict(f) for f in g.forms], repetition=g.repetition) for g in circuit.gates

@@ -17,6 +17,7 @@ from symcover.zmod import factorize, mod_inverse
 from symcover.circuit import from_cover2d, size
 from symcover.cover2d import build_s2_cover
 from symcover.coverkd import HashReport, _counts
+from symcover.astrong import check_astrong
 
 
 def _build(tmp_path, *extra):
@@ -426,10 +427,10 @@ def test_reader_reports_part_mask_out_of_memory(tmp_path, capsys, monkeypatch, c
 
 
 def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):
-    def out_of_memory(cover, counts):
+    def out_of_memory(n, k, ordered=False):
         raise MemoryError
 
-    monkeypatch.setattr("symcover.cli.cover_coefficients", out_of_memory)
+    monkeypatch.setattr("symcover.cli.target_coefficients", out_of_memory)
     cover = _build(tmp_path)
     capsys.readouterr()
     assert main(["verify", "--in", str(cover)]) == 2
@@ -445,12 +446,17 @@ def test_verify_reports_expansion_out_of_memory(tmp_path, capsys, monkeypatch):
 )
 def test_verify_builds_one_count_table(tmp_path, capsys, monkeypatch, poly, shift):
     # the property check and the a-strong step read one table: every binding
-    # of coverkd._counts across symcover counts its calls
-    calls = []
+    # of coverkd._counts across symcover counts its calls, and check_astrong
+    # receives the very array that _counts returned, with no copy
+    calls, tables = [], []
 
     def counted(cover):
-        calls.append(cover)
-        return _counts(cover)
+        calls.append(_counts(cover))
+        return calls[-1]
+
+    def recorded(b, a, mod):
+        tables.append(b.table)
+        return check_astrong(b, a, mod)
 
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "symcover":
@@ -463,10 +469,11 @@ def test_verify_builds_one_count_table(tmp_path, capsys, monkeypatch, poly, shif
     for item in data["items"]:  # every weight shifted by one, within 1..34
         item["weight"] = (item["weight"] + shift - 1) % 34 + 1
     cover.write_text(json.dumps(data))
+    monkeypatch.setattr("symcover.cli.check_astrong", recorded)
     capsys.readouterr()
     calls.clear()
     assert main(["verify", "--in", str(cover)]) == shift
-    assert len(calls) == 1
+    assert len(calls) == len(tables) == 1 and tables[0] is calls[0]
     assert any(line.startswith("a-strong: ") for line in capsys.readouterr().out.splitlines())
 
 
@@ -867,3 +874,19 @@ def test_cli_import_loads_no_heavy_modules():
     loaded = set(run.stdout.split())
     assert "symcover.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "random"}
+
+
+def test_module_entry_point_exits_with_the_verify_codes(tmp_path):
+    # python -m symcover.cli, as the out-of-memory CI steps call it: 0 on a
+    # passing cover, 1 on its drop-one mutant, 2 on a malformed file
+    cover = _build(tmp_path)
+    data = json.loads(cover.read_text())
+    dropped, malformed = tmp_path / "dropped.json", tmp_path / "malformed.json"
+    dropped.write_text(json.dumps({**data, "items": data["items"][1:]}))
+    malformed.write_text("{")
+    env = {**os.environ, "PYTHONPATH": str(Path(symcover.__file__).parent.parent)}
+    for path, code in [(cover, 0), (dropped, 1), (malformed, 2)]:
+        run = subprocess.run([sys.executable, "-m", "symcover.cli", "verify", "--in", str(path)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stdout + run.stderr

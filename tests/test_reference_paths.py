@@ -3,19 +3,20 @@
 counts, the value-count property check and the exponent choice against
 the plain loops they replaced, kept here as reference implementations:
 same coefficient maps, same counts, same reports, same choices, same
-errors.  The coefficients verify reads off a cover's count table are
+errors.  A cover's count table, read mod m as verify reads it, is
 checked against the expansion of the cover's circuit.  One judge
 (coverkd._judge) serves the property check and the a-strong check of
 two cell tables: tables of one byte per cell are judged through byte
 tables and wider ones through a set of failing values, so both kinds
 are checked, on passing and failing covers; the reference decodes flat
-indices with its own cell_at.  A cover's coefficients against the
-ordered target, both cell tables, give the report the lookup judge
-gives on their dicts, and flag the cells the property check flags;
+indices with its own cell_at.  A cover's count table against the
+ordered target, both cell tables, gives the report the lookup judge
+gives on their dicts, and flags the cells the property check flags;
 only a 0/1 byte target sends a pair to the table judge, and a pair of a
 table and a dict is judged as two dicts.  The tests read a table as a
-dict through their own table_dict, and the check's own reading is
-checked against it.  A cover circuit's forms, read-only maps over a
+dict of residues mod m through their own table_dict, and the check's
+own reading is checked against it: both judge paths read a table's
+values mod m.  A cover circuit's forms, read-only maps over a
 part's bitmask, look up as their dicts do."""
 
 import array
@@ -45,7 +46,6 @@ from symcover.circuit import (
     PartForm,
     SigmaPiSigmaCircuit,
     VariableSpace,
-    cover_coefficients,
     expand_coefficients,
     from_cover2d,
     from_coverkd,
@@ -351,7 +351,7 @@ def test_check_matches_reference_on_cover_expansions():
     shifted[(("x", 1), ("x", 2))] = 5  # stray, and not of the target's shape
     target = target_coefficients(24, 2, ordered=True)
     for b in (good, shifted):
-        assert check_astrong(b, target, mod) == reference_check(b, table_dict(target), mod)
+        assert check_astrong(b, target, mod) == reference_check(b, table_dict(target, mod.m), mod)
 
 
 def test_ordered_target_is_its_definition():
@@ -362,7 +362,7 @@ def test_ordered_target_is_its_definition():
                 tuple(sorted(zip(groups, tup))): 1
                 for tup in itertools.permutations(range(1, n + 1), k)
             }
-            assert table_dict(target_coefficients(n, k, ordered=True)) == expected
+            assert table_dict(target_coefficients(n, k, ordered=True), 6) == expected
 
 
 def cell_at(index, n, k):
@@ -489,11 +489,11 @@ def cancelling_box_covers(draw):
 
 @settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(cancelling_box_covers())
-def test_cover_coefficients_are_the_expansion_of_the_cover_circuit(cover):
-    # read off the table the property check judged and carries in its report
+def test_cover_count_table_is_the_expansion_of_the_cover_circuit(cover):
+    # the table the property check judged and carries in its report, read mod m
     to_circuit = from_cover2d if cover.k == 2 else from_coverkd
-    counts = _check_properties(cover).counts
-    assert table_dict(cover_coefficients(cover, counts)) == expand_coefficients(to_circuit(cover))
+    table = CellTable(cover.n, cover.k, _check_properties(cover).counts)
+    assert table_dict(table, cover.mod.m) == expand_coefficients(to_circuit(cover))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -602,7 +602,7 @@ def test_check_matches_reference_on_s2_covers(m):
 @pytest.mark.parametrize(
     "table, itemsize", [(lambda cover: cover, 1), (widened, 2)], ids=["one-byte", "wide"]
 )
-def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
+def test_cover_count_table_on_passing_and_failing_covers(table, itemsize):
     mod = factorize(35)
     cover = build_s2_cover(16, mod)
     target = target_coefficients(16, 2, ordered=True)
@@ -610,21 +610,21 @@ def test_cover_coefficients_on_passing_and_failing_covers(table, itemsize):
         case = table(case)
         counts = _counts(case)
         assert counts.itemsize == itemsize
-        coefficients = cover_coefficients(case, counts)
-        assert table_dict(coefficients) == expand_coefficients(from_cover2d(case))
+        coefficients = CellTable(16, 2, counts)
+        assert table_dict(coefficients, 35) == expand_coefficients(from_cover2d(case))
         report = check_astrong(coefficients, target, mod)
         assert report.ok is ok
-        assert report == check_astrong(table_dict(coefficients), table_dict(target), mod)
+        assert report == check_astrong(table_dict(coefficients, 35), table_dict(target, 35), mod)
 
 
 @st.composite
 def judged_covers(draw):
     """A passing s2 or sk cover, k in {2, 3}, as built, with its first
-    item dropped, or with every weight shifted by one.  Counts of one
-    byte give a bytes residue table, wider ones an array, and the one
-    judge takes both against the ordered target: here every m = 6 or
-    m = 35 cover gives a bytes table, and every m = 385 cover, whose
-    counts are wider than a byte, an array."""
+    item dropped, or with every weight shifted by one.  Its count table
+    holds one byte per cell or more, and the one judge takes both against
+    the ordered target: here every m = 6 or m = 35 cover gives a table of
+    one byte per cell, and every m = 385 cover, whose counts are wider
+    than a byte, a wider one."""
     k = draw(st.sampled_from([2, 3]))
     mod = factorize(draw(st.sampled_from([6, 35, 385])))
     n = draw(st.integers(k, 8))
@@ -641,11 +641,12 @@ def judged_covers(draw):
 @settings(max_examples=COUNT_EXAMPLES, deadline=None)
 @given(judged_covers())
 def test_cell_table_judge_matches_the_dict_judge(cover):
-    coefficients = cover_coefficients(cover, _counts(cover))
+    coefficients = CellTable(cover.n, cover.k, _counts(cover))
     target = target_coefficients(cover.n, cover.k, ordered=True)
-    assert isinstance(coefficients, CellTable) and isinstance(target, CellTable)
+    assert isinstance(target, CellTable)
     report = check_astrong(coefficients, target, cover.mod)
-    assert report == check_astrong(table_dict(coefficients), table_dict(target), cover.mod)
+    m = cover.mod.m
+    assert report == check_astrong(table_dict(coefficients, m), table_dict(target, m), cover.mod)
 
 
 def position_order(mono):
@@ -659,7 +660,7 @@ def position_order(mono):
 def test_property_check_and_table_judge_flag_the_same_cells(cover):
     properties = _check_properties(cover)
     target = target_coefficients(cover.n, cover.k, ordered=True)
-    report = check_astrong(cover_coefficients(cover, properties.counts), target, cover.mod)
+    report = check_astrong(CellTable(cover.n, cover.k, properties.counts), target, cover.mod)
     assert report.ok is properties.ok
     assert sorted(position_order(v.monomial) for v in report.violations) == sorted(
         v.cell for v in properties.violations
@@ -679,7 +680,7 @@ def test_cell_table_judge_matches_the_dict_judge_at_k_10(m):
     actual = CellTable(2, 10, array.array("H", (c * 301 % m for c in K10)))
     report = check_astrong(actual, target, mod)
     assert not report.ok
-    assert report == check_astrong(table_dict(actual), table_dict(target), mod)
+    assert report == check_astrong(table_dict(actual, m), table_dict(target, m), mod)
 
 
 TABLE_TYPES = {
@@ -714,9 +715,10 @@ def square(actual, target, m):
     return CellTable(3, 2, actual), CellTable(3, 2, target), factorize(m)
 
 
-# pinned: every actual 127; actuals of 128, of 255 and 231 at m = 385, and
-# in an array of two bytes per cell; a target holding a 2 or held in an
-# array; all-zero tables; a failing table with several witnesses
+# pinned: every actual 127; actuals of 128 at m = 6, of 255 and 231 at
+# m = 385, and of 300 and 385, which is 0 mod m, in an array of two bytes
+# per cell; a target holding a 2 or held in an array; all-zero tables; a
+# failing table with several witnesses
 DISTINCT = bytes(target_coefficients(3, 2, ordered=True).table)
 PINNED = {
     "actual 127": square(bytes([127] * 9), DISTINCT, 6),
@@ -744,7 +746,8 @@ PINNED = {
 @example(PINNED["failing"])
 def test_table_judge_matches_the_dict_judge(case):
     b, a, mod = case
-    assert check_astrong(b, a, mod) == check_astrong(table_dict(b), table_dict(a), mod)
+    m = mod.m
+    assert check_astrong(b, a, mod) == check_astrong(table_dict(b, m), table_dict(a, m), mod)
 
 
 @settings(max_examples=COUNT_EXAMPLES, deadline=None)
@@ -755,11 +758,11 @@ def test_mixed_pairs_are_judged_as_two_dicts(case):
     # an expansion's dict against the ordered target's table, as in the
     # acceptance suite, and a table against a dict, never reach the table judge
     b, a, mod = case
-    expected = check_astrong(table_dict(b), table_dict(a), mod)
+    expected = check_astrong(table_dict(b, mod.m), table_dict(a, mod.m), mod)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(astrong, "_check_tables", lambda *args: pytest.fail("table judge ran"))
-        assert check_astrong(table_dict(b), a, mod) == expected
-        assert check_astrong(b, table_dict(a), mod) == expected
+        assert check_astrong(table_dict(b, mod.m), a, mod) == expected
+        assert check_astrong(b, table_dict(a, mod.m), mod) == expected
 
 
 DIAGONAL = [(1, 1), (2, 2), (3, 3)]
@@ -772,7 +775,7 @@ DIAGONAL = [(1, 1), (2, 2), (3, 3)]
         ("actual 128", True, 9, DIAGONAL),
         ("actual 128 off the diagonal", True, 6, [(1, 2)]),
         ("actual 255", True, 7, [(1, 2), (3, 3)]),
-        ("array H actual", True, 7, [(2, 1)]),
+        ("array H actual", True, 6, [(2, 1)]),
         ("target 2", False, 9, [cell_at(i, 3, 2) for i in range(9)]),
         ("array target", False, 6, []),
         ("all zero", True, 0, []),
@@ -785,7 +788,7 @@ def test_table_judge_takes_byte_targets_of_0_and_1_only(
     # a pair whose target is a 0/1 byte table goes to the table judge once,
     # any other pair to the lookup judge, and both give the dict judge's report
     b, a, mod = PINNED[name]
-    expected = check_astrong(table_dict(b), table_dict(a), mod)
+    expected = check_astrong(table_dict(b, mod.m), table_dict(a, mod.m), mod)
     assert (expected.ok, expected.checked) == (not failing, checked)
     assert [tuple(j for _, j in v.monomial) for v in expected.violations] == failing
     calls = []
@@ -800,6 +803,23 @@ def test_table_judge_takes_byte_targets_of_0_and_1_only(
     assert len(calls) == judged
 
 
+@pytest.mark.parametrize(
+    "name, actuals",
+    [("actual 128", [1, 1, 2]), ("actual 255", [255, 255]), ("array H actual", [300])],
+)
+def test_table_values_are_read_mod_m_on_both_judge_paths(name, actuals):
+    # a count table may hold values of m or more: both judge paths read each
+    # cell mod m, so a witness reports its residue, a cell of m is no stray,
+    # and a table with m added to every cell is judged as the table itself
+    b, a, mod = PINNED[name]
+    report = check_astrong(b, a, mod)
+    assert report == check_astrong(table_dict(b, mod.m), table_dict(a, mod.m), mod)
+    assert [v.actual for v in report.violations] == actuals
+    raised = CellTable(3, 2, array.array("H", (v + mod.m for v in b.table)))
+    assert check_astrong(raised, a, mod) == report
+    assert check_astrong(raised, table_dict(a, mod.m), mod) == report
+
+
 def probe(fn, key):
     """The result, or the type of the error raised."""
     try:
@@ -810,23 +830,24 @@ def probe(fn, key):
 
 @st.composite
 def cell_tables(draw):
-    """A cover's coefficients or an ordered target."""
+    """A cover's count table or an ordered target."""
     if draw(st.booleans()):
         cover = draw(judged_covers())
-        return cover_coefficients(cover, _counts(cover))
+        return CellTable(cover.n, cover.k, _counts(cover))
     n = draw(st.integers(1, 6))
     return target_coefficients(n, draw(st.integers(1, min(n, 3))), ordered=True)
 
 
 @settings(max_examples=COUNT_EXAMPLES, deadline=None)
-@given(cell_tables())
-@example(CellTable(2, 10, K10))
-@example(CellTable(2, 10, array.array("H", (c * 300 for c in K10))))
-def test_cell_table_dict_matches_the_reference(table):
-    # the nonzero cells in row-major order, which at k = 10 is not sorted order
-    plain = table_dict(table)
-    assert list(astrong._cell_dict(table).items()) == list(plain.items())
-    assert astrong._cell_dict(plain) is plain
+@given(cell_tables(), st.sampled_from(MODULI))
+@example(CellTable(2, 10, K10), factorize(6))
+@example(CellTable(2, 10, array.array("H", (c * 300 for c in K10))), factorize(385))
+def test_cell_table_dict_matches_the_reference(table, mod):
+    # the cells nonzero mod m, with their residues, in row-major order,
+    # which at k = 10 is not sorted order
+    plain = table_dict(table, mod.m)
+    assert list(astrong._cell_dict(table, mod.m).items()) == list(plain.items())
+    assert astrong._cell_dict(plain, mod.m) is plain
 
 
 def form_probe_keys(n, groups):
